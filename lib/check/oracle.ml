@@ -728,34 +728,106 @@ let check_degraded (scenario : Gen.scenario) =
 
 (* {1 Compiled schedule vs interpreter} *)
 
+let compare_runs phase ~compiled ~interp =
+  if compiled.Diagnose.degraded <> interp.Diagnose.degraded then
+    Error
+      (Printf.sprintf "%s: degraded flag diverges (compiled %b, interp %b)"
+         phase compiled.Diagnose.degraded interp.Diagnose.degraded)
+  else if compiled.Diagnose.trips <> interp.Diagnose.trips then
+    Error (phase ^ ": budget trips diverge")
+  else
+    let fc = result_fingerprint compiled
+    and fi = result_fingerprint interp in
+    if String.equal fc fi then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s: compiled run diverges from interpreter: %s"
+           phase (first_diff fi fc))
+
+(* the registry is find-or-create: this is [Propagate]'s own counter *)
+let propagate_steps () =
+  Flames_obs.Metrics.counter_value
+    (Flames_obs.Metrics.counter "flames_propagate_steps_total")
+
+(* Schedule reuse under budgets, on a schedule whose prediction engine
+   is already cached.  A wall-only budget must take the cached engine
+   (its run propagates exactly the pass's steps fewer than the warming
+   run) and answer like the unlimited run.  A step or env quota below
+   the pass's own charge must run the pass fresh and trip where the
+   interpreter trips: same labels, same fingerprint.  The step counter
+   is process-global, so nothing else may propagate meanwhile; the
+   runner calls oracles one at a time. *)
+let check_schedule_reuse_budgets ~schedule ~model ~again_steps
+    ~interp nominal observations =
+  let module Budget = Flames_core.Budget in
+  let ( let* ) = Result.bind in
+  let floor = 1e-3 and threshold = 0.02 in
+  let pass_steps =
+    Flames_core.Propagate.steps_used
+      (Diagnose.prediction_engine ~budget:(Budget.fresh ())
+         ~schedule:(Some schedule) ~model ~degree:0.95 ~floor ~threshold
+         ~simulate:true
+         (Flames_core.Schedule.predictions schedule ~floor ~threshold))
+  in
+  let steps0 = propagate_steps () in
+  let walled =
+    Diagnose.run ~schedule
+      ~budget:(Budget.start (Budget.spec ~wall:3600. ()))
+      nominal observations
+  in
+  let wall_steps = propagate_steps () - steps0 in
+  let* () = compare_runs "wall-budget reuse" ~compiled:walled ~interp in
+  let* () =
+    if again_steps - wall_steps = pass_steps then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "wall-budget reuse: propagated %d steps, warming run %d, pass %d \
+            (prediction engine not reused)"
+           wall_steps again_steps pass_steps)
+  in
+  if pass_steps < 2 then Ok ()
+  else
+    let quota = pass_steps / 2 in
+    let quota_run name spec trip =
+      let run use_compiled =
+        Diagnose.run ~schedule ~model ~use_compiled ~budget:(Budget.start spec)
+          nominal observations
+      in
+      let c = run true and i = run false in
+      let* () = compare_runs name ~compiled:c ~interp:i in
+      if List.mem trip c.Diagnose.trips then Ok ()
+      else Error (name ^ ": quota below the prediction pass did not trip")
+    in
+    let* () =
+      quota_run "steps-quota reuse"
+        (Budget.spec ~max_steps:quota ())
+        Budget.Steps
+    in
+    (* every step pops a quantity some env insertion enqueued, so the
+       pass inserts at least [pass_steps] envs *)
+    quota_run "envs-quota reuse" (Budget.spec ~max_envs:quota ()) Budget.Envs
+
 let check_compiled (scenario : Gen.scenario) =
   let nominal, _ = Gen.scenario_netlists scenario in
   let observations = Gen.scenario_observations scenario in
   let model = Flames_core.Model.compile nominal in
   let schedule = Flames_core.Schedule.of_model model in
-  let compare_runs phase ~compiled ~interp =
-    if compiled.Diagnose.degraded <> interp.Diagnose.degraded then
-      Error
-        (Printf.sprintf "%s: degraded flag diverges (compiled %b, interp %b)"
-           phase compiled.Diagnose.degraded interp.Diagnose.degraded)
-    else if compiled.Diagnose.trips <> interp.Diagnose.trips then
-      Error (phase ^ ": budget trips diverge")
-    else
-      let fc = result_fingerprint compiled
-      and fi = result_fingerprint interp in
-      if String.equal fc fi then Ok ()
-      else
-        Error
-          (Printf.sprintf "%s: compiled run diverges from interpreter: %s"
-             phase (first_diff fi fc))
-  in
   let ( let* ) = Result.bind in
   let full_c = Diagnose.run ~model ~use_compiled:true nominal observations in
   let full_i = Diagnose.run ~model ~use_compiled:false nominal observations in
   let* () = compare_runs "full" ~compiled:full_c ~interp:full_i in
-  (* reusing one schedule across runs must not leak state between them *)
+  (* reusing one schedule across runs must not leak state between them;
+     this first unlimited run on [schedule] also warms its cached
+     prediction engine *)
+  let steps0 = propagate_steps () in
   let again = Diagnose.run ~schedule nominal observations in
+  let again_steps = propagate_steps () - steps0 in
   let* () = compare_runs "schedule-reuse" ~compiled:again ~interp:full_i in
+  let* () =
+    check_schedule_reuse_budgets ~schedule ~model ~again_steps
+      ~interp:full_i nominal observations
+  in
   (* budget-tripped (degraded) runs must degrade identically: same
      trips, same truncated candidate list, bit for bit *)
   let n = List.length full_c.Diagnose.diagnoses in

@@ -114,11 +114,20 @@ val check_compiled : Gen.scenario -> (unit, string) result
     compiled flat schedule ([~use_compiled:true], the default) must be
     {!result_fingerprint}-identical — every symptom verdict, conflict
     degree, fit estimate and ranking, hex-exact — to the interpreter
-    run ([~use_compiled:false]).  Checked three ways: the plain run, a
+    run ([~use_compiled:false]).  Checked four ways: the plain run, a
     second run reusing one pre-compiled {!Flames_core.Schedule} (no
-    state may leak between runs), and a budget-tripped run under a
-    half-quota candidate budget whose degraded flag, recorded trips and
-    truncated ranking must also match the interpreter's bit for bit. *)
+    state may leak between runs), budgeted runs on that now-warm
+    schedule, and a budget-tripped run under a half-quota candidate
+    budget whose degraded flag, recorded trips and truncated ranking
+    must also match the interpreter's bit for bit.
+
+    The budgeted reuse runs pin {!Flames_core.Diagnose.prediction_engine}'s
+    gate: a wall-only budget must match the unlimited run while
+    propagating exactly the prediction pass's steps fewer than the run
+    that warmed the schedule (the cached engine was reused), and a
+    [max_steps] or [max_envs] quota of half the pass's steps must trip
+    inside the pass with the interpreter's trip labels and
+    fingerprint. *)
 
 (** {1 Incremental sessions vs from-scratch diagnosis} *)
 

@@ -134,10 +134,8 @@ let quota_candidates t = t.max_candidates
 let trips t = List.rev t.trips
 let tripped t = t.trips <> []
 
-let is_unlimited t =
-  t.deadline = None && t.max_steps = None && t.max_envs = None
-  && t.max_candidates = None
-  && not (Atomic.get t.cancelled)
+let meters_propagation t =
+  t.max_steps <> None || t.max_envs <> None || Atomic.get t.cancelled
 let cancelled t = Atomic.get t.cancelled
 let elapsed t = now () -. t.started
 

@@ -77,13 +77,21 @@ val tripped : t -> bool
 val cancelled : t -> bool
 val elapsed : t -> float
 
-val is_unlimited : t -> bool
-(** No wall deadline, no quota of any kind, and not (yet) cancelled —
-    charges can never fail, so work skipped through a cache cannot
-    change what the budget would have accounted.  Gates the reuse of
-    budget-blind cached state (e.g. {!Diagnose}'s shared
-    nominal-prediction engine); cancellation arriving after the check
-    is best-effort, exactly as at any other check-point. *)
+val meters_propagation : t -> bool
+(** The budget carries a [max_steps] or [max_envs] quota, or is
+    cancelled: skipping propagation work through a cache would move
+    where (or whether) it trips.  Gates the reuse of budget-blind cached
+    state ({!Diagnose}'s shared nominal-prediction engine).
+
+    Without such a quota no replay of the skipped work's charge is
+    needed.  Propagation charges only steps and envs, and this interface
+    exposes no counter: a budget is observed only through its trips.  A
+    wall deadline trips on elapsed time alone and a candidate quota only
+    during enumeration, so under them skipping the pass changes nothing
+    observable but time.  Under a step or env quota the work runs fresh
+    and trips at exactly the uncached check-point.  Cancellation
+    arriving after the check is best-effort, exactly as at any other
+    check-point. *)
 
 val pp_trip : Format.formatter -> trip -> unit
 val pp_trips : Format.formatter -> trip list -> unit

@@ -391,10 +391,13 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
 (* Nominal-prediction engines cached per schedule.  The prediction pass
    is a pure function of (schedule, limits, degree, floor, threshold,
    simulate flag): it sees no observations, so every request against the
-   same compiled model rebuilds the identical engine.  Reuse is gated to
-   unlimited budgets — the pass charges steps/envs as it runs, and
-   skipping it must not change what a bounded budget would have
-   accounted.  A cached engine is quiescent and only ever read
+   same compiled model rebuilds the identical engine.  Reuse is gated by
+   [Budget.meters_propagation]: the pass charges steps and envs, so
+   under a step or env quota (or a cancellation) it runs fresh and trips
+   where the uncached path would; under a wall-only or candidate-only
+   budget skipping it changes nothing but time.  A pass cut short by its
+   budget is never inserted, so later requests only ever see complete
+   engines.  A cached engine is quiescent and only ever read
    afterwards ([best_value] / [truncated], both mutation-free), so
    sharing it across threads and domains is safe; the ephemeron key
    lets a schedule evicted from [Engine.Cache] take its engines with
@@ -428,7 +431,7 @@ let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     prediction
   in
   match schedule with
-  | Some s when Budget.is_unlimited budget ->
+  | Some s when not (Budget.meters_propagation budget) ->
     let key =
       {
         plimits = Option.value limits ~default:Propagate.default_limits;
@@ -449,14 +452,16 @@ let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     | Some engine -> engine
     | None ->
       let engine = fresh () in
-      Mutex.lock pcache_lock;
-      let entries = Option.value (PTbl.find_opt pcache s) ~default:[] in
-      if not (List.mem_assoc key entries) then
-        (* a handful of (limits, degree, floor, threshold) tunings per
-           schedule in practice; keep the newest four *)
-        PTbl.replace pcache s
-          ((key, engine) :: List.filteri (fun i _ -> i < 3) entries);
-      Mutex.unlock pcache_lock;
+      if not (Budget.tripped budget) then begin
+        Mutex.lock pcache_lock;
+        let entries = Option.value (PTbl.find_opt pcache s) ~default:[] in
+        if not (List.mem_assoc key entries) then
+          (* a handful of (limits, degree, floor, threshold) tunings per
+             schedule in practice; keep the newest four *)
+          PTbl.replace pcache s
+            ((key, engine) :: List.filteri (fun i _ -> i < 3) entries);
+        Mutex.unlock pcache_lock
+      end;
       engine)
   | _ -> fresh ()
 
@@ -500,8 +505,8 @@ let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
     else []
   in
   let degree = prediction_degree in
-  (* prediction pass: nominals only — shared across requests when the
-     budget is unlimited (see [prediction_engine]) *)
+  (* prediction pass: nominals only — shared across requests unless
+     the budget meters propagation (see [prediction_engine]) *)
   let prediction =
     prediction_engine ?limits ~budget ~schedule ~model ~degree
       ~floor:prediction_floor ~threshold:sensitivity_threshold

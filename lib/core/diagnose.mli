@@ -175,6 +175,30 @@ val guard_quantities : Model.t -> Quantity.t list
 (** The quantities appearing in constraint guards, sorted; evidence for
     any of them triggers {!analyze}'s deterministic second pass. *)
 
+val prediction_engine :
+  ?limits:Propagate.limits ->
+  budget:Budget.t ->
+  schedule:Schedule.t option ->
+  model:Model.t ->
+  degree:float ->
+  floor:float ->
+  threshold:float ->
+  simulate:bool ->
+  (Quantity.t * Interval.t * Flames_atms.Env.t) list ->
+  Propagate.t
+(** The nominal-only prediction pass: an engine over [model] with the
+    [predictions] entered at [degree], run to quiescence.  [floor],
+    [threshold] and [simulate] are the settings the predictions were
+    made with; together with [limits] and [degree] they key the cache.
+
+    With a schedule, the engine is shared per schedule and key: the
+    pass sees no observation, so every call builds the same engine.  It
+    runs fresh whenever {!Budget.meters_propagation} holds, so step and
+    env quotas trip exactly where the uncached pass would; a pass cut
+    short by [budget] is returned but never cached.  The returned engine
+    is quiescent and must only be read ({!Propagate.best_value},
+    {!Propagate.truncated}): a cached one is shared across domains. *)
+
 val full_pass :
   ?limits:Propagate.limits ->
   ?schedule:Schedule.t ->

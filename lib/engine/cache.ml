@@ -4,7 +4,10 @@ module Netlist = Flames_circuit.Netlist
 module Component = Flames_circuit.Component
 module Interval = Flames_fuzzy.Interval
 
-type entry = { schedule : Schedule.t; mutable last_used : int }
+(* [schedule = None] marks a key in flight: its first misser is
+   compiling it outside the lock, and later callers wait on [compiled]
+   instead of compiling it again. *)
+type entry = { mutable schedule : Schedule.t option; mutable last_used : int }
 
 (* The per-instance counters are atomics, not plain fields: [stats]
    reads them without taking the cache mutex, and future lock-narrowing
@@ -13,6 +16,7 @@ type entry = { schedule : Schedule.t; mutable last_used : int }
    ([Telemetry.cache_*]), which is what traces and exporters read. *)
 type t = {
   mutex : Mutex.t;
+  compiled : Condition.t;  (* broadcast whenever an in-flight key settles *)
   table : (string, entry) Hashtbl.t;
   capacity : int;
   mutable tick : int;
@@ -33,6 +37,7 @@ let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   {
     mutex = Mutex.create ();
+    compiled = Condition.create ();
     table = Hashtbl.create (2 * capacity);
     capacity;
     tick = 0;
@@ -99,62 +104,83 @@ let fingerprint ?schema ?(config = Model.default_config) netlist =
     (String.concat "," config.Model.trusted);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let evict_lru cache =
-  while Hashtbl.length cache.table > cache.capacity do
+(* Only settled entries are victims: an in-flight key belongs to the
+   domain compiling it, and its waiters. *)
+let rec evict_lru cache =
+  if Hashtbl.length cache.table > cache.capacity then begin
     let victim =
       Hashtbl.fold
         (fun key entry acc ->
-          match acc with
-          | Some (_, best) when best.last_used <= entry.last_used -> acc
-          | Some _ | None -> Some (key, entry))
+          match (entry.schedule, acc) with
+          | None, _ -> acc
+          | Some _, Some (_, best) when best.last_used <= entry.last_used -> acc
+          | Some _, _ -> Some (key, entry))
         cache.table None
     in
     match victim with
     | Some (key, _) ->
       Hashtbl.remove cache.table key;
       Atomic.incr cache.evictions;
-      Flames_obs.Metrics.incr Telemetry.cache_evictions_total
+      Flames_obs.Metrics.incr Telemetry.cache_evictions_total;
+      evict_lru cache
     | None -> ()
-  done
+  end
 
+(* Single-flight: the first miss installs an in-flight entry under the
+   lock and compiles outside it, so distinct keys still compile in
+   parallel while later callers for the same key wait for that one
+   compilation (and count as hits).  If it raises, the entry is
+   withdrawn and a waiter retries the compilation itself. *)
 let compile cache ?config netlist =
   let key = fingerprint ?config netlist in
   Mutex.lock cache.mutex;
   cache.tick <- cache.tick + 1;
   let tick = cache.tick in
-  match Hashtbl.find_opt cache.table key with
-  | Some entry ->
-    entry.last_used <- tick;
-    Atomic.incr cache.hits;
-    Flames_obs.Metrics.incr Telemetry.cache_hits_total;
-    Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "hit");
-    let schedule = entry.schedule in
-    Mutex.unlock cache.mutex;
-    schedule
-  | None ->
-    Atomic.incr cache.misses;
-    Flames_obs.Metrics.incr Telemetry.cache_misses_total;
-    Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "miss");
-    (* compile outside the lock so distinct keys compile in parallel;
-       a racing domain may compile the same key twice — both results
-       are identical and the first insertion wins *)
-    Mutex.unlock cache.mutex;
-    let schedule = Schedule.compile ?config netlist in
-    Mutex.lock cache.mutex;
-    let schedule =
-      match Hashtbl.find_opt cache.table key with
-      | Some entry ->
-        entry.last_used <- tick;
-        entry.schedule
-      | None ->
-        Hashtbl.replace cache.table key { schedule; last_used = tick };
+  let rec lookup () =
+    match Hashtbl.find_opt cache.table key with
+    | Some ({ schedule = Some schedule; _ } as entry) ->
+      entry.last_used <- tick;
+      Atomic.incr cache.hits;
+      Flames_obs.Metrics.incr Telemetry.cache_hits_total;
+      Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "hit");
+      Mutex.unlock cache.mutex;
+      schedule
+    | Some { schedule = None; _ } ->
+      Condition.wait cache.compiled cache.mutex;
+      lookup ()
+    | None ->
+      Atomic.incr cache.misses;
+      Flames_obs.Metrics.incr Telemetry.cache_misses_total;
+      Flames_obs.Context.annotate "cache" (Flames_obs.Context.Str "miss");
+      let entry = { schedule = None; last_used = tick } in
+      Hashtbl.replace cache.table key entry;
+      Mutex.unlock cache.mutex;
+      let settle schedule =
+        Mutex.lock cache.mutex;
+        (match schedule with
+        | Some _ -> entry.schedule <- schedule
+        | None -> (
+          (* [clear] may have dropped the entry, and another miss
+             installed a new one, meanwhile *)
+          match Hashtbl.find_opt cache.table key with
+          | Some e when e == entry -> Hashtbl.remove cache.table key
+          | _ -> ()));
         evict_lru cache;
+        Flames_obs.Metrics.gauge_set Telemetry.cache_resident
+          (float_of_int (Hashtbl.length cache.table));
+        Condition.broadcast cache.compiled;
+        Mutex.unlock cache.mutex
+      in
+      (match Schedule.compile ?config netlist with
+      | schedule ->
+        settle (Some schedule);
         schedule
-    in
-    Flames_obs.Metrics.gauge_set Telemetry.cache_resident
-      (float_of_int (Hashtbl.length cache.table));
-    Mutex.unlock cache.mutex;
-    schedule
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        settle None;
+        Printexc.raise_with_backtrace e bt)
+  in
+  lookup ()
 
 let stats cache =
   Mutex.lock cache.mutex;

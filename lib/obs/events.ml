@@ -8,8 +8,9 @@
    installed (--wide-events FILE), writes one JSON line per event.  The
    ring is mutex-protected: events are a per-request cost, not a
    per-sample one, so a lock is fine and guarantees the recorder never
-   tears an event under concurrent emitters.  A global atomic sequence
-   number gives events a total order that survives the export. *)
+   tears an event under concurrent emitters.  A global sequence number,
+   taken under the ring lock so ring order is seq order, gives events a
+   total order that survives the export. *)
 
 type value = Context.value =
   | Str of string
@@ -31,7 +32,7 @@ type t = {
 let enabled_flag = Atomic.make true
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-let seq_counter = Atomic.make 0
+let next_seq = ref 0 (* guarded by [ring_mutex] *)
 
 (* --- ring --- *)
 
@@ -165,19 +166,21 @@ let emit ?ctx ~name fields =
           Context.fields c @ timing_fields )
     in
     let trace_id, session_id, client, route = identity in
+    let fields = fields @ accumulated in
+    Mutex.lock ring_mutex;
     let e =
       {
-        seq = Atomic.fetch_and_add seq_counter 1;
+        seq = !next_seq;
         ts = Unix.gettimeofday ();
         name;
         trace_id;
         session_id;
         client;
         route;
-        fields = fields @ accumulated;
+        fields;
       }
     in
-    Mutex.lock ring_mutex;
+    incr next_seq;
     let cap = Array.length ring.slots in
     ring.slots.(ring.next) <- Some e;
     ring.next <- (ring.next + 1) mod cap;

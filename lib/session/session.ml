@@ -93,13 +93,13 @@ let create ?config ?limits ?model ?schedule ?(use_compiled = true)
     else []
   in
   let degree = prediction_degree in
+  (* the same per-schedule engine [Diagnose.run] judges against: a
+     session on a cached schedule pays no prediction pass *)
   let prediction =
-    Propagate.create ?limits ?schedule ~budget:(Budget.fresh ()) model
+    Diagnose.prediction_engine ?limits ~budget:(Budget.fresh ()) ~schedule
+      ~model ~degree ~floor:prediction_floor ~threshold:sensitivity_threshold
+      ~simulate:simulate_predictions predictions
   in
-  List.iter
-    (fun (q, v, env) -> Propagate.predict prediction ~degree q v env)
-    predictions;
-  Propagate.run prediction;
   let t =
     {
       netlist;
@@ -118,7 +118,6 @@ let create ?config ?limits ?model ?schedule ?(use_compiled = true)
       steps = 0;
     }
   in
-  ignore (rebuild t);
   Flames_obs.Metrics.gauge_add sessions_active 1.;
   Gc.finalise
     (fun _ -> Flames_obs.Metrics.gauge_add sessions_active (-1.))

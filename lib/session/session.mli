@@ -60,8 +60,11 @@ val create :
   t
 (** [create netlist] compiles the model (unless [?model] or
     [?schedule] supplies the compilation of exactly this
-    netlist/config), derives the simulator predictions once, and runs
-    the prediction pass once; all three are reused by every later step.
+    netlist/config), derives the simulator predictions once, and takes
+    the prediction-pass engine from {!Diagnose.prediction_engine} (run
+    once per schedule, shared with [Diagnose.run] and other sessions);
+    all three are reused by every later step.  No propagation pass runs
+    here: the first {!diagnoses} builds the live engine lazily.
 
     Sessions run the compiled schedule by default, exactly like
     [Diagnose.run]; [~use_compiled:false] forces the interpreter and

@@ -339,6 +339,48 @@ let test_diagnose_healthy () =
     (String.length (Report.summary r) >= 7
     && String.sub (Report.summary r) 0 7 = "healthy")
 
+(* the registry is find-or-create: this is [Propagate]'s own counter *)
+let propagate_steps () =
+  Flames_obs.Metrics.counter_value
+    (Flames_obs.Metrics.counter "flames_propagate_steps_total")
+
+(* The nominal prediction pass sees no observation, so it runs once per
+   schedule under wall-only budgets: the second wall-budget run
+   propagates fewer steps than the first, which paid for it.  A step
+   quota (here one that never trips) meters propagation, so that run
+   pays the pass again. *)
+let test_diagnose_wall_budget_reuses_prediction () =
+  let module Budget = Flames_core.Budget in
+  let nominal = L.three_stage_amplifier ~tolerance:0.005 () in
+  let faulty = F.inject nominal (F.short "r2" ~parameter:"R") in
+  let sol = Flames_sim.Mna.solve faulty in
+  let obs =
+    Flames_sim.Measure.probe_all ~instrument sol
+      (List.map Q.voltage [ "vs"; "n2"; "v1" ])
+  in
+  let schedule = Flames_core.Schedule.compile ~config nominal in
+  let run spec =
+    let before = propagate_steps () in
+    let r =
+      Diagnose.run ~config ~schedule ~budget:(Budget.start spec) nominal obs
+    in
+    (r, propagate_steps () - before)
+  in
+  let wall = Budget.spec ~wall:3600. () in
+  let first, cold = run wall in
+  let second, warm = run wall in
+  let metered, fresh = run (Budget.spec ~max_steps:max_int ()) in
+  check_bool "first run pays the pass" true (cold > warm);
+  check_int "quota run pays it again" cold fresh;
+  List.iter
+    (fun (r : Diagnose.result) ->
+      check_bool "clean" false r.Diagnose.degraded;
+      check_bool "same diagnoses" true
+        (r.Diagnose.diagnoses = first.Diagnose.diagnoses);
+      check_bool "same symptoms" true
+        (r.Diagnose.symptoms = first.Diagnose.symptoms))
+    [ second; metered ]
+
 let test_diagnose_hard_fault_detected () =
   let r =
     diagnose_amp
@@ -545,5 +587,7 @@ let () =
             test_diagnose_trusted_never_suspect;
           Alcotest.test_case "fig5 degrees" `Quick test_diagnose_fig5;
           Alcotest.test_case "report renders" `Quick test_report_renders;
+          Alcotest.test_case "wall budget reuses prediction" `Quick
+            test_diagnose_wall_budget_reuses_prediction;
         ] );
     ]

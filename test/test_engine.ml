@@ -301,6 +301,37 @@ let test_cache_clear () =
   ignore (Cache.compile cache (divider ()));
   check_int "recompiled" 2 (Cache.stats cache).Cache.misses
 
+(* Four domains miss one key at once, released together from a spin
+   barrier: single-flight means one miss, one [Schedule.compile], and
+   every caller served the same schedule.  Repeated, because the race it
+   guards against only shows under real overlap. *)
+let schedule_compiles () =
+  Flames_obs.Metrics.histogram_count
+    (Flames_obs.Metrics.histogram "flames_schedule_compile_seconds")
+
+let test_cache_single_flight () =
+  for _round = 1 to 20 do
+    let cache = Cache.create () in
+    let net = L.three_stage_amplifier () in
+    let compiles0 = schedule_compiles () in
+    let go = Atomic.make false in
+    let caller () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      Cache.compile cache net
+    in
+    let others = List.init 3 (fun _ -> Domain.spawn caller) in
+    Atomic.set go true;
+    let mine = caller () in
+    let all = mine :: List.map Domain.join others in
+    let s = Cache.stats cache in
+    check_int "one miss" 1 s.Cache.misses;
+    check_int "every other caller hits" 3 s.Cache.hits;
+    check_int "one compile" 1 (schedule_compiles () - compiles0);
+    check_bool "one schedule served" true (List.for_all (( == ) mine) all)
+  done
+
 (* {1 Batch determinism} *)
 
 (* A cheap faulty-divider job: small circuit, real conflicts. *)
@@ -482,6 +513,8 @@ let () =
           Alcotest.test_case "schema mismatch" `Quick
             test_cache_schema_mismatch;
           Alcotest.test_case "clear" `Quick test_cache_clear;
+          Alcotest.test_case "single-flight under domains" `Quick
+            test_cache_single_flight;
         ] );
       ( "batch",
         [

@@ -531,6 +531,36 @@ let test_event_concurrent_domains () =
     (Hashtbl.length seen);
   List.iter (fun e -> ignore (Json.parse (Events.to_json e))) events
 
+(* Stress variant: rounds of four domains emitting at once.  The seq is
+   taken under the ring lock, so the ring (oldest first) must hold
+   strictly increasing seqs in every round. *)
+let test_event_seq_ring_order () =
+  Events.set_capacity 4096;
+  Fun.protect ~finally:(fun () -> Events.set_capacity 256) @@ fun () ->
+  for _round = 1 to 20 do
+    Events.clear ();
+    let go = Atomic.make false in
+    let worker () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      for i = 1 to 200 do
+        Events.emit ~name:"evt" [ ("i", Events.Int i) ]
+      done
+    in
+    let domains = List.init 3 (fun _ -> Domain.spawn worker) in
+    Atomic.set go true;
+    worker ();
+    List.iter Domain.join domains;
+    let rec increasing = function
+      | a :: (b :: _ as rest) -> a.Events.seq < b.Events.seq && increasing rest
+      | _ -> true
+    in
+    let events = Events.recent () in
+    Alcotest.(check int) "all events recorded" 800 (List.length events);
+    Alcotest.(check bool) "ring order is seq order" true (increasing events)
+  done
+
 let test_event_file_sink () =
   Events.clear ();
   let path = Filename.temp_file "flames_events" ".jsonl" in
@@ -775,6 +805,8 @@ let () =
           Alcotest.test_case "concurrent-domains" `Quick
             test_event_concurrent_domains;
           Alcotest.test_case "file-sink" `Quick test_event_file_sink;
+          Alcotest.test_case "seq-ring-order-stress" `Quick
+            test_event_seq_ring_order;
         ] );
       ( "digest",
         [
