@@ -2,7 +2,7 @@
 # stay green before every commit (tier-1 verify + engine tests + dune-file
 # formatting).
 
-.PHONY: all build test fmt check check-deep chaos corpus bench bench-engine bench-atms bench-session bench-serve bench-obs bench-compile bench-store serve trace clean
+.PHONY: all build test fmt check check-deep chaos corpus bench bench-engine bench-atms bench-session bench-serve bench-obs bench-store serve trace clean
 
 all: build
 
@@ -62,13 +62,6 @@ bench-session: build
 # claim is overhead_pct < 3)
 bench-obs: build
 	dune exec bench/main.exe -- --obs-json-only
-
-# compiled flat schedules vs the propagation interpreter on the fig-7
-# sweep and the amplifier-chain scaling series, cold and warm schedule
-# cache (writes BENCH_compile.json; the CI claim is fig-7 median warm
-# speedup >= 5).  Add --compile-smoke for the reduced CI variant
-bench-compile: build
-	dune exec bench/main.exe -- --compile-json-only
 
 # journal durability costs: per-step append overhead over an in-memory
 # session at each fsync discipline (paired loops, median ratio) and

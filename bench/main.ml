@@ -347,15 +347,12 @@ let () =
   let atms_json_only = flag "--atms-json-only" in
   let session_json_only = flag "--session-json-only" in
   let obs_json_only = flag "--obs-json-only" in
-  let compile_json_only = flag "--compile-json-only" in
   let store_json_only = flag "--store-json-only" in
   let smoke = flag "--atms-smoke" in
-  let compile_smoke = flag "--compile-smoke" in
   if engine_json_only then emit_engine_json ()
   else if atms_json_only then Atms_series.emit ~smoke ppf
   else if session_json_only then Session_series.emit ppf
   else if obs_json_only then Obs_series.emit ppf
-  else if compile_json_only then Compile_series.emit ~smoke:compile_smoke ppf
   else if store_json_only then Store_series.emit ppf
   else begin
     regenerate_tables ();
@@ -367,6 +364,5 @@ let () =
     Atms_series.emit ~smoke ppf;
     Session_series.emit ppf;
     Obs_series.emit ppf;
-    Compile_series.emit ~smoke:compile_smoke ppf;
     Store_series.emit ppf
   end

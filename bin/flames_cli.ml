@@ -153,14 +153,6 @@ let instrument_arg =
   let doc = "Relative measurement imprecision (default 0.002)." in
   Arg.(value & opt float 0.002 & info [ "imprecision" ] ~doc)
 
-let no_compiled_arg =
-  let doc =
-    "Run the propagation interpreter instead of the compiled schedule. \
-     Results are bit-identical (the differential oracle enforces it); \
-     this is the baseline for checks and benchmarks."
-  in
-  Arg.(value & flag & info [ "no-compiled" ] ~doc)
-
 let with_circuit name f =
   match load_circuit name with
   | Ok netlist -> protect (fun () -> f netlist)
@@ -207,7 +199,7 @@ let bias_cmd =
     Term.(const run $ obs_term $ circuit_arg)
 
 let diagnose_cmd =
-  let run () name fault probes trusted relative no_compiled =
+  let run () name fault probes trusted relative =
     with_circuit name (fun nominal ->
         match inject_opt nominal fault with
         | Error e -> die_input "%s" e
@@ -216,10 +208,7 @@ let diagnose_cmd =
           let config =
             { Flames_core.Model.default_config with trusted }
           in
-          let result =
-            Flames_core.Diagnose.run ~config
-              ~use_compiled:(not no_compiled) nominal obs
-          in
+          let result = Flames_core.Diagnose.run ~config nominal obs in
           Format.printf "%a" Flames_core.Report.pp_result result;
           Format.printf "%s@." (Flames_core.Report.summary result))
   in
@@ -228,7 +217,7 @@ let diagnose_cmd =
        ~doc:"Simulate the (faulty) circuit, probe it and run the diagnosis.")
     Term.(
       const run $ obs_term $ circuit_arg $ fault_arg $ probes_arg
-      $ trusted_arg $ instrument_arg $ no_compiled_arg)
+      $ trusted_arg $ instrument_arg)
 
 let best_test_cmd =
   let run () name fault probes trusted relative =
@@ -430,7 +419,7 @@ let stats_json_arg =
     value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
 let batch_cmd =
-  let run () () file workers timeout trusted relative stats_json no_compiled =
+  let run () () file workers timeout trusted relative stats_json =
     if workers < 1 then
       die_input "batch: --workers must be >= 1 (got %d)" workers;
     protect @@ fun () ->
@@ -451,8 +440,7 @@ let batch_cmd =
     in
     let cache = Flames_engine.Cache.create () in
     let outcomes, stats =
-      Flames_engine.Batch.run ~workers ~cache ?timeout
-        ~use_compiled:(not no_compiled) jobs
+      Flames_engine.Batch.run ~workers ~cache ?timeout jobs
     in
     List.iter2
       (fun (j : Flames_engine.Batch.job) outcome ->
@@ -478,8 +466,7 @@ let batch_cmd =
           print per-job summaries plus engine statistics.")
     Term.(
       const run $ obs_term $ wide_events_term $ file_arg $ workers_arg
-      $ timeout_arg $ trusted_arg $ instrument_arg $ stats_json_arg
-      $ no_compiled_arg)
+      $ timeout_arg $ trusted_arg $ instrument_arg $ stats_json_arg)
 
 let list_cmd =
   let run () =
@@ -822,7 +809,7 @@ let serve_cmd =
 
 let troubleshoot_cmd =
   let module Script = Flames_session.Script in
-  let run () () file no_echo max_candidates no_compiled =
+  let run () () file no_echo max_candidates =
     protect @@ fun () ->
     let text =
       match file with
@@ -836,11 +823,10 @@ let troubleshoot_cmd =
     | Error e -> die_input "troubleshoot: %s" e
     | Ok commands -> (
       let session_of netlist =
-        let use_compiled = not no_compiled in
         match max_candidates with
-        | None -> Flames_session.Session.create ~use_compiled netlist
+        | None -> Flames_session.Session.create netlist
         | Some n ->
-          Flames_session.Session.create ~use_compiled
+          Flames_session.Session.create
             ~budget_spec:(Flames_core.Budget.spec ~max_candidates:n ())
             netlist
       in
@@ -878,7 +864,7 @@ let troubleshoot_cmd =
           amplifier' | flames troubleshoot.")
     Term.(
       const run $ obs_term $ wide_events_term $ file_arg $ no_echo_arg
-      $ max_candidates_arg $ no_compiled_arg)
+      $ max_candidates_arg)
 
 let tail_cmd =
   let module Json = Flames_serve.Json in

@@ -726,127 +726,242 @@ let check_degraded (scenario : Gen.scenario) =
         | None -> Ok ()
     end
 
-(* {1 Compiled schedule vs interpreter} *)
+(* {1 Propagation engine vs reference interpreter} *)
 
-let compare_runs phase ~compiled ~interp =
-  if compiled.Diagnose.degraded <> interp.Diagnose.degraded then
-    Error
-      (Printf.sprintf "%s: degraded flag diverges (compiled %b, interp %b)"
-         phase compiled.Diagnose.degraded interp.Diagnose.degraded)
-  else if compiled.Diagnose.trips <> interp.Diagnose.trips then
-    Error (phase ^ ": budget trips diverge")
-  else
-    let fc = result_fingerprint compiled
-    and fi = result_fingerprint interp in
-    if String.equal fc fi then Ok ()
+module Budget = Flames_core.Budget
+module Propagate = Flames_core.Propagate
+module Schedule = Flames_core.Schedule
+module Value = Flames_core.Value
+module Nogood = Flames_atms.Nogood
+
+(* [Diagnose.run]'s default prediction settings *)
+let floor = 1e-3
+let threshold = 0.02
+let degree = 0.95
+
+let env_text env = String.concat "," (List.map string_of_int (Env.to_list env))
+
+let origin_text = function
+  | Value.Measured -> "measured"
+  | Value.Given -> "given"
+  | Value.Bound -> "bound"
+  | Value.Derived c -> "derived:" ^ c
+
+(* One pass, hex-exact: steps, truncation and the budget trips so far,
+   every nogood (environment and degree), then every cell with its
+   values in cell order. *)
+let pass_text ~trips ~steps ~truncated nogoods cells =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "steps=%d truncated=%b trips=%s\n" steps truncated
+    (String.concat "," (List.map Budget.trip_label trips));
+  List.iter
+    (fun (e : Nogood.entry) ->
+      Printf.bprintf b "nogood {%s} degree=%h\n" (env_text e.Nogood.env)
+        e.Nogood.degree)
+    nogoods;
+  List.iter
+    (fun (q, values) ->
+      Printf.bprintf b "cell %s\n" (Flames_circuit.Quantity.to_string q);
+      List.iter
+        (fun (v : Value.t) ->
+          let i = v.Value.interval in
+          Printf.bprintf b "  [%h %h %h %h] {%s} degree=%h obs=%b %s {%s}\n"
+            i.Interval.m1 i.Interval.m2 i.Interval.alpha i.Interval.beta
+            (env_text v.Value.env) v.Value.degree v.Value.observational
+            (origin_text v.Value.origin)
+            (String.concat "," (Value.History.elements v.Value.history)))
+        values)
+    cells;
+  Buffer.contents b
+
+let production_text trips p =
+  pass_text ~trips ~steps:(Propagate.steps_used p)
+    ~truncated:(Propagate.truncated p)
+    (Nogood.entries (Propagate.nogood_db p))
+    (Propagate.cells p)
+
+(* a result's trips without the candidate trip, which only ranking
+   records *)
+let propagation_trips (r : Diagnose.result) =
+  List.filter (( <> ) Budget.Candidates) r.Diagnose.trips
+
+(* The propagation stages of [Diagnose.run] on the reference engine, as
+   named texts: the nominal-only prediction pass, the first full pass
+   and — when the first pass left observational evidence on a guard
+   quantity — the guard second pass with that evidence pinned.  One
+   budget armed from [spec] is charged by every pass. *)
+let reference_passes ~model ~predictions ~spec observations =
+  let budget = Budget.start spec in
+  let pass ?(guard_evidence = []) observations =
+    let r = Reference.create ~budget model in
+    Reference.set_guard_evidence r guard_evidence;
+    List.iter (fun (q, v, env) -> Reference.predict r ~degree q v env) predictions;
+    List.iter (fun (q, v) -> Reference.observe r q v) observations;
+    Reference.run r;
+    ( r,
+      pass_text ~trips:(Budget.trips budget) ~steps:(Reference.steps_used r)
+        ~truncated:(Reference.truncated r)
+        (Nogood.entries (Reference.nogood_db r))
+        (Reference.cells r) )
+  in
+  let _, prediction = pass [] in
+  let first, first_text = pass observations in
+  let guard_evidence =
+    List.filter_map
+      (fun q ->
+        Option.map
+          (fun (v : Value.t) -> (q, v.Value.interval))
+          (Reference.best_value first ~observational:true q))
+      (Diagnose.guard_quantities model)
+  in
+  [ ("prediction", prediction); ("first", first_text) ]
+  @
+  if guard_evidence = [] then []
+  else [ ("guard second", snd (pass ~guard_evidence observations)) ]
+
+(* The same stages through production, composed as [Diagnose.run]
+   composes them, with the analysed result. *)
+let production_passes ~schedule ~spec nominal observations =
+  let model = Schedule.model schedule in
+  let predictions = Schedule.predictions schedule ~floor ~threshold in
+  let budget = Budget.start spec in
+  let prediction =
+    Diagnose.prediction_engine ~budget ~schedule ~model ~degree ~floor
+      ~threshold ~simulate:true predictions
+  in
+  let prediction_text = production_text (Budget.trips budget) prediction in
+  let first =
+    Diagnose.full_pass ~schedule ~budget ~degree ~model ~predictions
+      ~observations ~guard_evidence:[] ()
+  in
+  let first_text = production_text (Budget.trips budget) first in
+  let r =
+    Diagnose.analyze ~schedule ~budget ~degree ~model ~predictions ~prediction
+      ~first nominal observations
+  in
+  ( [ ("prediction", prediction_text); ("first", first_text) ]
+    @ (if r.Diagnose.engine == first then []
+       else
+         [ ("guard second", production_text (propagation_trips r) r.Diagnose.engine) ]),
+    r )
+
+let rec compare_passes phase production reference =
+  match (production, reference) with
+  | [], [] -> Ok ()
+  | (name, p) :: ps, (_, r) :: rs ->
+    if String.equal p r then compare_passes phase ps rs
     else
       Error
-        (Printf.sprintf "%s: compiled run diverges from interpreter: %s"
-           phase (first_diff fi fc))
+        (Printf.sprintf "%s: %s pass diverges from the reference: %s" phase
+           name (first_diff r p))
+  | _ -> Error (phase ^ ": the guard second pass ran in one engine only")
 
-(* the registry is find-or-create: this is [Propagate]'s own counter *)
-let propagate_steps () =
-  Flames_obs.Metrics.counter_value
-    (Flames_obs.Metrics.counter "flames_propagate_steps_total")
+(* A whole run's final engine against the reference's last pass. *)
+let compare_final phase (r : Diagnose.result) reference =
+  compare_passes phase
+    [ ("final", production_text (propagation_trips r) r.Diagnose.engine) ]
+    [ List.nth reference (List.length reference - 1) ]
 
-(* Schedule reuse under budgets, on a schedule whose prediction engine
-   is already cached.  A wall-only budget must take the cached engine
-   (its run propagates exactly the pass's steps fewer than the warming
-   run) and answer like the unlimited run.  A step or env quota below
-   the pass's own charge must run the pass fresh and trip where the
-   interpreter trips: same labels, same fingerprint.  The step counter
-   is process-global, so nothing else may propagate meanwhile; the
-   runner calls oracles one at a time. *)
-let check_schedule_reuse_budgets ~schedule ~model ~again_steps
-    ~interp nominal observations =
-  let module Budget = Flames_core.Budget in
+let compare_runs phase (a : Diagnose.result) (b : Diagnose.result) =
+  if a.Diagnose.degraded <> b.Diagnose.degraded then
+    Error (phase ^ ": degraded flag diverges")
+  else if a.Diagnose.trips <> b.Diagnose.trips then
+    Error (phase ^ ": budget trips diverge")
+  else
+    let fa = result_fingerprint a and fb = result_fingerprint b in
+    if String.equal fa fb then Ok ()
+    else Error (Printf.sprintf "%s: results diverge: %s" phase (first_diff fa fb))
+
+(* [f ()] and how far [Propagate]'s own step counter moved meanwhile
+   (the registry is find-or-create).  The counter is process-global, so
+   nothing else may propagate meanwhile; the runner calls oracles one at
+   a time. *)
+let counting_steps f =
+  let steps () =
+    Flames_obs.Metrics.counter_value
+      (Flames_obs.Metrics.counter "flames_propagate_steps_total")
+  in
+  let steps0 = steps () in
+  let v = f () in
+  (v, steps () - steps0)
+
+let check_engine ?config nominal observations =
   let ( let* ) = Result.bind in
-  let floor = 1e-3 and threshold = 0.02 in
+  let model = Flames_core.Model.compile ?config nominal in
+  let schedule = Schedule.of_model model in
+  let predictions = Schedule.predictions schedule ~floor ~threshold in
+  let reference spec = reference_passes ~model ~predictions ~spec observations in
+  let unlimited = reference Budget.unlimited in
+  let full = Diagnose.run ~model nominal observations in
+  let* () = compare_final "full" full unlimited in
+  (* every stage on the pre-compiled schedule; this first run also
+     warms its cached prediction engine *)
+  let (staged, r), warm_steps =
+    counting_steps (fun () ->
+        production_passes ~schedule ~spec:Budget.unlimited nominal observations)
+  in
+  let* () = compare_passes "schedule-reuse" staged unlimited in
+  let* () = compare_runs "schedule-reuse" full r in
+  (* A wall-only budget must take the cached engine: its run propagates
+     exactly the pass's steps fewer than the warming run. *)
   let pass_steps =
-    Flames_core.Propagate.steps_used
-      (Diagnose.prediction_engine ~budget:(Budget.fresh ())
-         ~schedule:(Some schedule) ~model ~degree:0.95 ~floor ~threshold
-         ~simulate:true
-         (Flames_core.Schedule.predictions schedule ~floor ~threshold))
+    Propagate.steps_used
+      (Diagnose.prediction_engine ~budget:(Budget.fresh ()) ~schedule ~model
+         ~degree ~floor ~threshold ~simulate:true predictions)
   in
-  let steps0 = propagate_steps () in
-  let walled =
-    Diagnose.run ~schedule
-      ~budget:(Budget.start (Budget.spec ~wall:3600. ()))
-      nominal observations
+  let walled, wall_steps =
+    counting_steps (fun () ->
+        Diagnose.run ~schedule
+          ~budget:(Budget.start (Budget.spec ~wall:3600. ()))
+          nominal observations)
   in
-  let wall_steps = propagate_steps () - steps0 in
-  let* () = compare_runs "wall-budget reuse" ~compiled:walled ~interp in
+  let* () = compare_runs "wall-budget reuse" full walled in
+  let* () = compare_final "wall-budget reuse" walled unlimited in
   let* () =
-    if again_steps - wall_steps = pass_steps then Ok ()
+    if warm_steps - wall_steps = pass_steps then Ok ()
     else
       Error
         (Printf.sprintf
            "wall-budget reuse: propagated %d steps, warming run %d, pass %d \
             (prediction engine not reused)"
-           wall_steps again_steps pass_steps)
+           wall_steps warm_steps pass_steps)
   in
-  if pass_steps < 2 then Ok ()
-  else
-    let quota = pass_steps / 2 in
-    let quota_run name spec trip =
-      let run use_compiled =
-        Diagnose.run ~schedule ~model ~use_compiled ~budget:(Budget.start spec)
-          nominal observations
-      in
-      let c = run true and i = run false in
-      let* () = compare_runs name ~compiled:c ~interp:i in
-      if List.mem trip c.Diagnose.trips then Ok ()
+  (* A step or env quota below the pass's own charge must run the pass
+     fresh and trip inside it, pass for pass like the reference. *)
+  let quota name spec trip =
+    if pass_steps < 2 then Ok ()
+    else
+      let staged, r = production_passes ~schedule ~spec nominal observations in
+      let* () = compare_passes name staged (reference spec) in
+      let run = Diagnose.run ~schedule ~budget:(Budget.start spec) nominal observations in
+      let* () = compare_runs name run r in
+      if List.mem trip r.Diagnose.trips then Ok ()
       else Error (name ^ ": quota below the prediction pass did not trip")
+  in
+  let* () =
+    quota "steps-quota reuse" (Budget.spec ~max_steps:(pass_steps / 2) ()) Budget.Steps
+  in
+  (* every step pops a quantity some env insertion enqueued, so the
+     pass inserts at least [pass_steps] envs *)
+  let* () =
+    quota "envs-quota reuse" (Budget.spec ~max_envs:(pass_steps / 2) ()) Budget.Envs
+  in
+  (* a candidate quota cuts the ranking short, propagation untouched *)
+  match List.length full.Diagnose.diagnoses with
+  | 0 -> Ok ()
+  | n ->
+    let budget =
+      Budget.start (Budget.spec ~max_candidates:(Int.max 1 (n / 2)) ())
     in
-    let* () =
-      quota_run "steps-quota reuse"
-        (Budget.spec ~max_steps:quota ())
-        Budget.Steps
-    in
-    (* every step pops a quantity some env insertion enqueued, so the
-       pass inserts at least [pass_steps] envs *)
-    quota_run "envs-quota reuse" (Budget.spec ~max_envs:quota ()) Budget.Envs
+    let part = Diagnose.run ~model ~budget nominal observations in
+    let* () = compare_final "candidate quota" part unlimited in
+    if part.Diagnose.degraded && part.Diagnose.trips = [ Budget.Candidates ]
+    then Ok ()
+    else Error "candidate quota: not degraded by the candidate trip alone"
 
 let check_compiled (scenario : Gen.scenario) =
   let nominal, _ = Gen.scenario_netlists scenario in
-  let observations = Gen.scenario_observations scenario in
-  let model = Flames_core.Model.compile nominal in
-  let schedule = Flames_core.Schedule.of_model model in
-  let ( let* ) = Result.bind in
-  let full_c = Diagnose.run ~model ~use_compiled:true nominal observations in
-  let full_i = Diagnose.run ~model ~use_compiled:false nominal observations in
-  let* () = compare_runs "full" ~compiled:full_c ~interp:full_i in
-  (* reusing one schedule across runs must not leak state between them;
-     this first unlimited run on [schedule] also warms its cached
-     prediction engine *)
-  let steps0 = propagate_steps () in
-  let again = Diagnose.run ~schedule nominal observations in
-  let again_steps = propagate_steps () - steps0 in
-  let* () = compare_runs "schedule-reuse" ~compiled:again ~interp:full_i in
-  let* () =
-    check_schedule_reuse_budgets ~schedule ~model ~again_steps
-      ~interp:full_i nominal observations
-  in
-  (* budget-tripped (degraded) runs must degrade identically: same
-     trips, same truncated candidate list, bit for bit *)
-  let n = List.length full_c.Diagnose.diagnoses in
-  if n = 0 then Ok ()
-  else begin
-    let quota = Int.max 1 (n / 2) in
-    let budgeted use_compiled =
-      let budget =
-        Flames_core.Budget.start
-          (Flames_core.Budget.spec ~max_candidates:quota ())
-      in
-      Diagnose.run ~model ~budget ~use_compiled nominal observations
-    in
-    let part_c = budgeted true and part_i = budgeted false in
-    let* () = compare_runs "budgeted" ~compiled:part_c ~interp:part_i in
-    if not part_c.Diagnose.degraded then
-      Error "budgeted compiled run not flagged degraded"
-    else Ok ()
-  end
+  check_engine nominal (Gen.scenario_observations scenario)
 
 (* {1 Incremental sessions vs from-scratch diagnosis} *)
 

@@ -106,28 +106,38 @@ val check_degraded : Gen.scenario -> (unit, string) result
     run's — sound truncation, never invention.  Scenarios whose full
     diagnosis is healthy (no candidates) pass trivially. *)
 
-(** {1 Compiled schedule vs interpreter} *)
+(** {1 Propagation engine vs reference interpreter} *)
+
+val check_engine :
+  ?config:Flames_core.Model.config ->
+  Netlist.t ->
+  Flames_core.Diagnose.observation list ->
+  (unit, string) result
+(** The propagation contract of {!Flames_core.Propagate}: every pass a
+    diagnosis runs — the nominal prediction pass, the first full pass
+    and the guard second pass — is replayed on {!Reference}, the closure
+    interpreter, under the same budget spec, and must agree on every
+    nogood (environment and degree), every cell's values in cell order
+    (interval bits, environment, degree, side, origin, history), the
+    steps used, truncation and the budget trips so far.  Checked across
+    families sharing one pre-compiled {!Flames_core.Schedule}:
+
+    - full: a run lowering its own schedule (final engine only);
+    - schedule-reuse: the staged passes on the pre-compiled schedule,
+      which also warm its cached prediction engine, and whose
+      composed result must be {!result_fingerprint}-identical to the
+      full run;
+    - wall-budget reuse: a wall-only budget must match the full run
+      while propagating exactly the prediction pass's steps fewer than
+      the warming run (the cached engine was reused);
+    - steps and envs quotas of half the prediction pass's steps must
+      trip inside the pass, pass for pass like the reference, and
+      [Diagnose.run] must answer like the staged passes;
+    - candidate quota: a run cut short in ranking must be flagged
+      degraded with only that trip, its propagation untouched. *)
 
 val check_compiled : Gen.scenario -> (unit, string) result
-(** The compiled-schedule transparency contract of
-    {!Flames_core.Diagnose.run}: diagnosing the scenario with the
-    compiled flat schedule ([~use_compiled:true], the default) must be
-    {!result_fingerprint}-identical — every symptom verdict, conflict
-    degree, fit estimate and ranking, hex-exact — to the interpreter
-    run ([~use_compiled:false]).  Checked four ways: the plain run, a
-    second run reusing one pre-compiled {!Flames_core.Schedule} (no
-    state may leak between runs), budgeted runs on that now-warm
-    schedule, and a budget-tripped run under a half-quota candidate
-    budget whose degraded flag, recorded trips and truncated ranking
-    must also match the interpreter's bit for bit.
-
-    The budgeted reuse runs pin {!Flames_core.Diagnose.prediction_engine}'s
-    gate: a wall-only budget must match the unlimited run while
-    propagating exactly the prediction pass's steps fewer than the run
-    that warmed the schedule (the cached engine was reused), and a
-    [max_steps] or [max_envs] quota of half the pass's steps must trip
-    inside the pass with the interpreter's trip labels and
-    fingerprint. *)
+(** {!check_engine} on a generated scenario. *)
 
 (** {1 Incremental sessions vs from-scratch diagnosis} *)
 

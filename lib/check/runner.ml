@@ -88,7 +88,7 @@ let run_all ?(seed = 0x464c4d45) ?(log = fun _ -> ()) ~iters () =
   section 9 "session-equivalence"
     (Int.max 1 (iters / 4))
     Gen.session_script Oracle.check_session;
-  section 10 "compiled-vs-interp"
+  section 10 "engine-vs-reference"
     (Int.max 1 (iters / 4))
     Gen.scenario Oracle.check_compiled;
   List.rev !sections

@@ -152,8 +152,8 @@ let observation_residual ?sweep netlist observations =
    1.0 factors re-solve the previous pass's best value, and refinement
    grids overlap), each costing a full MNA solve.  A per-sweep memo on
    the exact candidate value removes those repeats, and the shared
-   [?sweep] LU context answers the remaining distinct candidates from
-   the factors of the first system solved per device-region state. *)
+   [?sweep] LU context answers the distinct candidates that leave the
+   matrix unchanged from the factors already computed. *)
 let fit_parameter ?sweep netlist observations comp parameter =
   let nominal = Interval.centroid (Component.nominal_parameter comp parameter) in
   if nominal = 0. then None
@@ -274,9 +274,9 @@ let guard_quantities model =
    simulator predictions, then the observations, run to quiescence.
    Shared by {!run} and the incremental {!Flames_session.Session}, whose
    retraction path rebuilds exactly this engine. *)
-let full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
+let full_pass ?limits ~schedule ~budget ~degree ~model ~predictions
     ~observations ~guard_evidence () =
-  let engine = Propagate.create ?limits ~budget ?schedule model in
+  let engine = Propagate.create ?limits ~budget ~schedule model in
   Propagate.set_guard_evidence engine guard_evidence;
   List.iter
     (fun (q, v, env) -> Propagate.predict engine ~degree q v env)
@@ -285,7 +285,7 @@ let full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
   Propagate.run engine;
   engine
 
-let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
+let analyze ?limits ~schedule ?budget ~degree ~model ~predictions ~prediction
     ~first netlist observations =
   let budget = match budget with Some b -> b | None -> Budget.fresh () in
   (* Guards are evaluated when a constraint fires, but the observational
@@ -305,7 +305,7 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
   let engine =
     if guard_evidence = [] then first
     else
-      full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
+      full_pass ?limits ~schedule ~budget ~degree ~model ~predictions
         ~observations ~guard_evidence ()
   in
   let symptoms = List.map (symptom_of prediction) observations in
@@ -313,11 +313,12 @@ let analyze ?limits ?schedule ?budget ~degree ~model ~predictions ~prediction
   let name_of id = Model.assumption_name model id in
   let suspects =
     Trace.with_span ~record:fit_seconds "diagnose.fit" @@ fun () ->
-    (* one LU context across every suspect's fit sweep: all candidate
-       systems of a run differ from its nominal circuit by one
-       parameter, so the first factorisation per device-region state
-       serves them all *)
-    let fsweep = Flames_sim.Mna.sweep ~rank1:true () in
+    (* one exact LU context across every suspect's fit sweep: a
+       candidate system whose matrix equals the first one solved in its
+       device-region state (a source or junction-drop parameter moved
+       only the right-hand side) re-solves against those factors, bit
+       for bit *)
+    let fsweep = Flames_sim.Mna.sweep () in
     Candidates.suspicions conflicts
     |> List.filter_map (fun (id, suspicion) ->
            let component = name_of id in
@@ -423,15 +424,15 @@ let pcache_lock = Mutex.create ()
 let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     ~threshold ~simulate predictions =
   let fresh () =
-    let prediction = Propagate.create ?limits ~budget ?schedule model in
+    let prediction = Propagate.create ?limits ~budget ~schedule model in
     List.iter
       (fun (q, v, env) -> Propagate.predict prediction ~degree q v env)
       predictions;
     Propagate.run prediction;
     prediction
   in
-  match schedule with
-  | Some s when not (Budget.meters_propagation budget) ->
+  if Budget.meters_propagation budget then fresh ()
+  else begin
     let key =
       {
         plimits = Option.value limits ~default:Propagate.default_limits;
@@ -443,29 +444,31 @@ let prediction_engine ?limits ~budget ~schedule ~model ~degree ~floor
     in
     Mutex.lock pcache_lock;
     let hit =
-      match PTbl.find_opt pcache s with
+      match PTbl.find_opt pcache schedule with
       | Some entries -> List.assoc_opt key entries
       | None -> None
     in
     Mutex.unlock pcache_lock;
-    (match hit with
+    match hit with
     | Some engine -> engine
     | None ->
       let engine = fresh () in
       if not (Budget.tripped budget) then begin
         Mutex.lock pcache_lock;
-        let entries = Option.value (PTbl.find_opt pcache s) ~default:[] in
+        let entries =
+          Option.value (PTbl.find_opt pcache schedule) ~default:[]
+        in
         if not (List.mem_assoc key entries) then
           (* a handful of (limits, degree, floor, threshold) tunings per
              schedule in practice; keep the newest four *)
-          PTbl.replace pcache s
+          PTbl.replace pcache schedule
             ((key, engine) :: List.filteri (fun i _ -> i < 3) entries);
         Mutex.unlock pcache_lock
       end;
-      engine)
-  | _ -> fresh ()
+      engine
+  end
 
-let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
+let run ?config ?limits ?model ?schedule ?budget
     ?(prediction_floor = 1e-3) ?(sensitivity_threshold = 0.02)
     ?(prediction_degree = 0.95) ?(simulate_predictions = true) netlist
     observations =
@@ -474,13 +477,10 @@ let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
     "diagnose.run"
   @@ fun () ->
   let budget = match budget with Some b -> b | None -> Budget.fresh () in
-  (* Model acquisition.  The compiled schedule is the default execution
-     vehicle; [~use_compiled:false] forces the interpreter (the
-     differential-oracle baseline and the CLI's [--no-compiled]). *)
   let model, schedule =
     match schedule with
-    | Some s when use_compiled -> (Schedule.model s, Some s)
-    | _ ->
+    | Some s -> (Schedule.model s, s)
+    | None ->
       let m =
         match model with
         | Some m -> m
@@ -488,20 +488,15 @@ let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
           Trace.with_span ~record:model_seconds "diagnose.model" (fun () ->
               Model.compile ?config netlist)
       in
-      if use_compiled then (m, Some (Schedule.of_model m)) else (m, None)
+      (m, Schedule.of_model m)
   in
   let predictions =
     if simulate_predictions then
       Trace.with_span ~record:simulate_seconds "diagnose.simulate" (fun () ->
-          match schedule with
-          | Some s ->
-            (* memoized on the schedule: the sensitivity sweep runs once
-               per compiled model, not once per request *)
-            Schedule.predictions s ~floor:prediction_floor
-              ~threshold:sensitivity_threshold
-          | None ->
-            simulator_predictions netlist model ~floor:prediction_floor
-              ~threshold:sensitivity_threshold)
+          (* memoized on the schedule: the sensitivity sweep runs once
+             per compiled model, not once per request *)
+          Schedule.predictions schedule ~floor:prediction_floor
+            ~threshold:sensitivity_threshold)
     else []
   in
   let degree = prediction_degree in
@@ -515,17 +510,17 @@ let run ?config ?limits ?model ?schedule ?(use_compiled = true) ?budget
   (* full pass with observations, then the shared post-propagation
      pipeline (guard second pass, symptoms, conflicts, fits, ranking) *)
   let first =
-    full_pass ?limits ?schedule ~budget ~degree ~model ~predictions
+    full_pass ?limits ~schedule ~budget ~degree ~model ~predictions
       ~observations ~guard_evidence:[] ()
   in
-  analyze ?limits ?schedule ~budget ~degree ~model ~predictions ~prediction
+  analyze ?limits ~schedule ~budget ~degree ~model ~predictions ~prediction
     ~first netlist observations
 
-let run_r ?config ?limits ?model ?schedule ?use_compiled ?budget
+let run_r ?config ?limits ?model ?schedule ?budget
     ?prediction_floor ?sensitivity_threshold ?prediction_degree
     ?simulate_predictions netlist observations =
   Err.guard (fun () ->
-      run ?config ?limits ?model ?schedule ?use_compiled ?budget
+      run ?config ?limits ?model ?schedule ?budget
         ?prediction_floor ?sensitivity_threshold ?prediction_degree
         ?simulate_predictions netlist observations)
 

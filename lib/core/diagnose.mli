@@ -77,7 +77,6 @@ val run :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget:Budget.t ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -88,14 +87,11 @@ val run :
   result
 (** [run netlist observations] performs a full diagnosis.
 
-    By default the model is lowered to a compiled {!Schedule} and the
-    propagation engines run the compiled fast path; results are
-    byte-identical to the interpreter.  [?schedule] supplies a
-    pre-compiled schedule (e.g. from [Flames_engine.Cache]), skipping
-    both compilation and — thanks to the schedule's memo — the
-    per-request sensitivity sweep.  [~use_compiled:false] forces the
-    interpreter and ignores [?schedule] (the [--no-compiled]
-    differential baseline).
+    The model is lowered to a compiled {!Schedule}, which every
+    propagation pass runs.  [?schedule] supplies a pre-compiled one
+    (e.g. from [Flames_engine.Cache]), skipping both compilation and —
+    thanks to the schedule's memo — the per-request sensitivity
+    sweep.
 
     [?budget] (default unlimited) is polled at cheap check-points in
     propagation, fit sweeps and candidate enumeration.  A tripped budget
@@ -135,7 +131,6 @@ val run_r :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget:Budget.t ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -178,7 +173,7 @@ val guard_quantities : Model.t -> Quantity.t list
 val prediction_engine :
   ?limits:Propagate.limits ->
   budget:Budget.t ->
-  schedule:Schedule.t option ->
+  schedule:Schedule.t ->
   model:Model.t ->
   degree:float ->
   floor:float ->
@@ -191,9 +186,9 @@ val prediction_engine :
     [threshold] and [simulate] are the settings the predictions were
     made with; together with [limits] and [degree] they key the cache.
 
-    With a schedule, the engine is shared per schedule and key: the
-    pass sees no observation, so every call builds the same engine.  It
-    runs fresh whenever {!Budget.meters_propagation} holds, so step and
+    The engine is shared per schedule and key: the pass sees no
+    observation, so every call builds the same engine.  It runs fresh
+    whenever {!Budget.meters_propagation} holds, so step and
     env quotas trip exactly where the uncached pass would; a pass cut
     short by [budget] is returned but never cached.  The returned engine
     is quiescent and must only be read ({!Propagate.best_value},
@@ -201,7 +196,7 @@ val prediction_engine :
 
 val full_pass :
   ?limits:Propagate.limits ->
-  ?schedule:Schedule.t ->
+  schedule:Schedule.t ->
   budget:Budget.t ->
   degree:float ->
   model:Model.t ->
@@ -210,13 +205,13 @@ val full_pass :
   guard_evidence:(Quantity.t * Interval.t) list ->
   unit ->
   Propagate.t
-(** One full propagation pass: fresh engine over [model] with the guard
-    evidence pinned, [predictions] and then [observations] entered, run
+(** One full propagation pass: fresh engine over [model] (running
+    [schedule], its compilation) with the guard evidence pinned, [predictions] and then [observations] entered, run
     to quiescence. *)
 
 val analyze :
   ?limits:Propagate.limits ->
-  ?schedule:Schedule.t ->
+  schedule:Schedule.t ->
   ?budget:Budget.t ->
   degree:float ->
   model:Model.t ->
@@ -228,6 +223,6 @@ val analyze :
   result
 (** The post-propagation pipeline shared by {!run} and the session:
     guard evidence is read off [first] (triggering a second {!full_pass}
-    when present), symptoms are judged against the [prediction] engine,
+    over [schedule] when present), symptoms are judged against the [prediction] engine,
     conflicts collected, suspects fitted and candidates ranked under
     [budget] (default unlimited). *)

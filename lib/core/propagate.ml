@@ -1,5 +1,4 @@
 module Interval = Flames_fuzzy.Interval
-module Consistency = Flames_fuzzy.Consistency
 module Kernel = Flames_fuzzy.Kernel
 module Arith = Flames_fuzzy.Arith
 module Env = Flames_atms.Env
@@ -16,10 +15,6 @@ let steps_total =
 let conflicts_total =
   Metrics.counter "flames_propagate_conflicts_total"
     ~help:"Coincidence conflicts recorded during propagation"
-
-let run_seconds =
-  Metrics.histogram "flames_propagate_run_seconds"
-    ~help:"Latency of one interpreted propagation run to quiescence"
 
 let schedule_run_seconds =
   Metrics.histogram "flames_schedule_run_seconds"
@@ -40,7 +35,7 @@ let default_limits =
     min_conflict_degree = 0.02;
   }
 
-(* Consistency memo: the compiled engine's dominant win.  The degree
+(* Consistency memo: the engine's dominant win.  The degree
    between two values depends only on their intervals and their
    observational flags, and the fault sweep recomputes the same pairs
    run after run.  Keys are 9 flat floats (an operation tag plus both
@@ -51,15 +46,17 @@ let default_limits =
    start from everything earlier ones computed. *)
 module FTbl = Schedule.FTbl
 
-(* Per-engine state of the compiled fast path.  Cells are the same
-   [Value.t list ref]s registered in the public hashtable, indexed by
-   the schedule's dense quantity ids, so every read API (values,
-   best_value, pp_cell) works unchanged on a compiled engine.
+(* Cells are indexed by the schedule's dense quantity ids, and every
+   cell is kept sorted by [Value.strength] (see [add_value]).
    Quantities outside the model (ad-hoc observations) are interned
    dynamically per engine; the shared schedule is never mutated. *)
-type cstate = {
+type t = {
+  model : Model.t;
+  limits : limits;
+  budget : Budget.t;
+  db : Nogood.t;
   sched : Schedule.t;
-  mutable carr : Value.t list ref array;  (** qid -> cell *)
+  mutable carr : Value.t list array;  (** qid -> cell *)
   mutable versions : int array;  (** qid -> cell mutation count *)
   mutable dyn_names : string array;  (** reasons for dynamic qids *)
   mutable nq : int;
@@ -67,8 +64,8 @@ type cstate = {
   gdeg : float array;  (** instr -> cached guard degree *)
   gstamp : int array array;  (** instr -> guard versions; [||] = stale *)
   pinned : Interval.t option array array;  (** instr -> pinned evidence *)
-  cqueue : int Queue.t;
-  mutable cqueued : bool array;
+  queue : int Queue.t;
+  mutable queued : bool array;
   memo : float FTbl.t;  (** L1: entries this engine computed itself *)
   l2 : Schedule.flat;
       (** immutable shared snapshot taken at engine creation; probed
@@ -83,320 +80,94 @@ type cstate = {
   mutable dirty : bool;
       (** some insertion since the last reset evicted or filtered a
           resident value — the running firing is not stampable *)
-}
-
-type t = {
-  model : Model.t;
-  limits : limits;
-  budget : Budget.t;
-  cells : (Quantity.t, Value.t list ref) Hashtbl.t;
-  by_var : (Quantity.t, Constr.t list) Hashtbl.t;
-  db : Nogood.t;
-  queue : Quantity.t Queue.t;
-  queued : (Quantity.t, unit) Hashtbl.t;
-  cstate : cstate option;
   mutable steps : int;
   mutable seeded : bool;
   mutable truncated : bool;  (** a run stopped at a budget check-point *)
-  mutable guard_evidence : (Quantity.t * Interval.t) list;
 }
 
 let names t id = Model.assumption_name t.model id
 
-let cell t q =
-  match Hashtbl.find_opt t.cells q with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add t.cells q r;
-    r
-
 let create ?(limits = default_limits) ?budget ?schedule model =
-  let by_var = Hashtbl.create 64 in
-  let cells = Hashtbl.create 64 in
-  let cstate =
-    match schedule with
-    | None ->
-      (* interpreter: discover the firing order per run *)
-      List.iter
-        (fun c ->
-          List.iter
-            (fun q ->
-              let cur =
-                Option.value ~default:[] (Hashtbl.find_opt by_var q)
-              in
-              Hashtbl.replace by_var q (c :: cur))
-            (Constr.vars c))
-        model.Model.constraints;
-      None
-    | Some (sched : Schedule.t) ->
-      let nq = Array.length sched.Schedule.qty in
-      let ni = Array.length sched.Schedule.instrs in
-      let carr =
-        Array.init nq (fun i ->
-            let r = ref [] in
-            Hashtbl.add cells sched.Schedule.qty.(i) r;
-            r)
-      in
-      Some
-        {
-          sched;
-          carr;
-          versions = Array.make nq 0;
-          dyn_names = [||];
-          nq;
-          dynq = Hashtbl.create 8;
-          gdeg = Array.make ni 1.;
-          gstamp = Array.make ni [||];
-          pinned =
-            Array.map
-              (fun (ins : Schedule.instr) ->
-                Array.make (Array.length ins.Schedule.guards) None)
-              sched.Schedule.instrs;
-          cqueue = Queue.create ();
-          cqueued = Array.make nq false;
-          memo = FTbl.create 1024;
-          l2 = Schedule.memo_snapshot sched;
-          probe = Array.make 9 0.;
-          kscratch = Array.make 8 0.;
-          fstamp = Array.make sched.Schedule.nfirings [||];
-          fgdeg = Array.make sched.Schedule.nfirings 1.;
-          era = 0;
-          dirty = false;
-        }
+  let sched =
+    match schedule with Some s -> s | None -> Schedule.of_model model
   in
+  let nq = Array.length sched.Schedule.qty in
+  let ni = Array.length sched.Schedule.instrs in
   {
     model;
     limits;
     budget = (match budget with Some b -> b | None -> Budget.fresh ());
-    cells;
-    by_var;
     db = Nogood.create ();
+    sched;
+    carr = Array.make nq [];
+    versions = Array.make nq 0;
+    dyn_names = [||];
+    nq;
+    dynq = Hashtbl.create 8;
+    gdeg = Array.make ni 1.;
+    gstamp = Array.make ni [||];
+    pinned =
+      Array.map
+        (fun (ins : Schedule.instr) ->
+          Array.make (Array.length ins.Schedule.guards) None)
+        sched.Schedule.instrs;
     queue = Queue.create ();
-    queued = Hashtbl.create 64;
-    cstate;
+    queued = Array.make nq false;
+    memo = FTbl.create 1024;
+    l2 = Schedule.memo_snapshot sched;
+    probe = Array.make 9 0.;
+    kscratch = Array.make 8 0.;
+    fstamp = Array.make sched.Schedule.nfirings [||];
+    fgdeg = Array.make sched.Schedule.nfirings 1.;
+    era = 0;
+    dirty = false;
     steps = 0;
     seeded = false;
     truncated = false;
-    guard_evidence = [];
   }
 
-let compiled t = Option.is_some t.cstate
-
-let enqueue t q =
-  if not (Hashtbl.mem t.queued q) then begin
-    Hashtbl.add t.queued q ();
-    Queue.add q t.queue
-  end
-
-(* Coincidence analysis (fig. 4) between a new and a resident value of the
-   same quantity: between a measurement-derived and a model-side value the
-   paper's area-based Dc is used, oriented from the observational side;
-   between two values of the same side the symmetric possibility of
-   matching (height of the pointwise minimum) replaces it, since the
-   area ratio is not meaningful when neither value is a reference.
-   A conflict of degree 1 − Dc is recorded against the union of the
-   environments. *)
-let consistency_between a b =
-  let open Value in
-  let height = Flames_fuzzy.Piecewise.height_of_min a.interval b.interval in
-  match (a.observational, b.observational) with
-  | true, false ->
-    Float.max (Consistency.dc ~measured:a.interval ~nominal:b.interval) height
-  | false, true ->
-    Float.max (Consistency.dc ~measured:b.interval ~nominal:a.interval) height
-  | true, true | false, false -> height
-
-let record_conflict t q (a : Value.t) (b : Value.t) dc =
-  let degree =
-    Float.min (1. -. dc) (Float.min a.Value.degree b.Value.degree)
-  in
-  if degree >= t.limits.min_conflict_degree then begin
-    let env = Env.union a.Value.env b.Value.env in
-    let reason = Format.asprintf "%a" Quantity.pp q in
-    if Nogood.record t.db ~reason env degree then
-      Metrics.incr conflicts_total
-  end
-
-(* A resident value makes a newcomer redundant either by proper
-   subsumption or by being an exact duplicate up to derivation history:
-   the same interval under the same environment with at least the degree
-   carries no new information, whatever path produced it. *)
-let redundant (w : Value.t) (v : Value.t) =
-  Value.subsumes w v
-  || (w.Value.observational = v.Value.observational
-     && Env.equal w.Value.env v.Value.env
-     && w.Value.degree >= v.Value.degree
-     && Interval.equal_rel w.Value.interval v.Value.interval)
-
-(* Insert a value into the quantity's cell.  Returns true when the cell
-   gained information (and propagation should continue from q). *)
-let add_value t q (v : Value.t) =
-  let r = cell t q in
-  if List.exists (fun w -> redundant w v) !r then false
-  else if Nogood.is_nogood t.db v.Value.env then false
-  else begin
-    List.iter
-      (fun w ->
-        let dc = consistency_between v w in
-        if dc < 1. then record_conflict t q v w dc)
-      !r;
-    let kept = v :: List.filter (fun w -> not (redundant v w)) !r in
-    let kept = List.sort Value.strength kept in
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
-    let kept = take t.limits.max_values_per_cell kept in
-    r := kept;
-    (* the value may have been trimmed straight away; only requeue when it
-       survived *)
-    let survived = List.exists (fun w -> w == v) kept in
-    if survived then ignore (Budget.charge_envs t.budget 1);
-    survived
-  end
-
-let guard_degree t (c : Constr.t) =
-  List.fold_left
-    (fun acc (q, set) ->
-      let pinned =
-        List.find_map
-          (fun (q', v) -> if Quantity.equal q q' then Some v else None)
-          t.guard_evidence
-      in
-      let best_interval =
-        match pinned with
-        | Some v -> Some v
-        | None -> begin
-          (* judge on the strongest observational value (a measurement
-             when available), not on every derived echo in the cell *)
-          let evidence =
-            List.filter (fun v -> v.Value.observational) !(cell t q)
-            |> List.sort Value.strength
-          in
-          match evidence with
-          | [] -> None
-          | best :: _ -> Some best.Value.interval
-        end
-      in
-      match best_interval with
-      | None -> acc
-      | Some interval ->
-        Float.min acc (Flames_fuzzy.Piecewise.height_of_min interval set))
-    1. c.Constr.guards
-
-(* Enumerate antecedent combinations for firing [c] towards [target]. *)
-let fire t (c : Constr.t) target =
-  let srcs =
-    List.filter (fun q -> not (Quantity.equal q target)) (Constr.sources c)
-  in
-  let usable (v : Value.t) =
-    not (Value.History.mem c.Constr.name v.Value.history)
-  in
-  let candidate_lists =
-    List.map
-      (fun q -> List.filter_map
-          (fun v -> if usable v then Some (q, v) else None)
-          !(cell t q))
-      srcs
-  in
-  let gdeg = guard_degree t c in
-  if gdeg <= 0. || List.exists (fun l -> l = []) candidate_lists then []
-  else begin
-    let budget = ref t.limits.max_combinations in
-    let results = ref [] in
-    let rec combos acc = function
-      | [] ->
-        if !budget > 0 then begin
-          decr budget;
-          let lookup q =
-            List.find_map
-              (fun (q', (v : Value.t)) ->
-                if Quantity.equal q q' then Some v.Value.interval else None)
-              acc
-          in
-          match Constr.solve_for c target lookup with
-          | None -> ()
-          | Some interval ->
-            let env, degree, observational, history =
-              List.fold_left
-                (fun (env, degree, obs, hist) (_, (v : Value.t)) ->
-                  ( Env.union env v.Value.env,
-                    Float.min degree v.Value.degree,
-                    obs || v.Value.observational,
-                    Value.History.union hist v.Value.history ))
-                (c.Constr.assumptions, Float.min c.Constr.degree gdeg, false,
-                 Value.History.empty)
-                acc
-            in
-            if not (Nogood.is_nogood t.db env) then
-              results :=
-                Value.derived c.Constr.name interval env degree ~observational
-                  ~history
-                :: !results
-        end
-      | values :: rest ->
-        List.iter (fun choice -> combos (choice :: acc) rest) values
-    in
-    combos [] candidate_lists;
-    !results
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Compiled fast path.  Every function below is a bit-compatible
-   replica of its interpreter counterpart above, specialised to the
-   schedule's dense ids: same enumeration orders, same float-operation
-   orders, same budget charge points.  The speed comes from the memo
-   table, the allocation-light {!Kernel} integration, the precomputed
-   firing plan and reason strings, and array-indexed bookkeeping. *)
-
-let qname_of cs qid =
-  let stat = Array.length cs.sched.Schedule.qname in
-  if qid < stat then cs.sched.Schedule.qname.(qid)
-  else cs.dyn_names.(qid - stat)
+let qname_of t qid =
+  let stat = Array.length t.sched.Schedule.qname in
+  if qid < stat then t.sched.Schedule.qname.(qid)
+  else t.dyn_names.(qid - stat)
 
 (* Intern a quantity outside the static schedule (ad-hoc observation
-   targets).  The cell ref is shared with the public hashtable so the
-   read APIs see it. *)
-let qid_of t cs q =
-  match Hashtbl.find_opt cs.sched.Schedule.qindex q with
+   targets). *)
+let qid_of t q =
+  match Hashtbl.find_opt t.sched.Schedule.qindex q with
   | Some i -> i
   | None -> begin
-    match Hashtbl.find_opt cs.dynq q with
+    match Hashtbl.find_opt t.dynq q with
     | Some i -> i
     | None ->
-      let i = cs.nq in
-      let cap = Array.length cs.carr in
+      let i = t.nq in
+      let cap = Array.length t.carr in
       if i >= cap then begin
         let cap' = (2 * cap) + 8 in
-        let carr' = Array.make cap' (ref []) in
-        Array.blit cs.carr 0 carr' 0 cap;
-        for k = cap to cap' - 1 do
-          carr'.(k) <- ref []
-        done;
-        cs.carr <- carr';
+        let carr' = Array.make cap' [] in
+        Array.blit t.carr 0 carr' 0 cap;
+        t.carr <- carr';
         let versions' = Array.make cap' 0 in
-        Array.blit cs.versions 0 versions' 0 cap;
-        cs.versions <- versions';
+        Array.blit t.versions 0 versions' 0 cap;
+        t.versions <- versions';
         let queued' = Array.make cap' false in
-        Array.blit cs.cqueued 0 queued' 0 cap;
-        cs.cqueued <- queued'
+        Array.blit t.queued 0 queued' 0 cap;
+        t.queued <- queued'
       end;
-      cs.carr.(i) <- cell t q;
-      let stat = Array.length cs.sched.Schedule.qname in
+      let stat = Array.length t.sched.Schedule.qname in
       let dyn = Array.make (i - stat + 1) "" in
-      Array.blit cs.dyn_names 0 dyn 0 (Array.length cs.dyn_names);
+      Array.blit t.dyn_names 0 dyn 0 (Array.length t.dyn_names);
       dyn.(i - stat) <- Format.asprintf "%a" Quantity.pp q;
-      cs.dyn_names <- dyn;
-      Hashtbl.add cs.dynq q i;
-      cs.nq <- i + 1;
+      t.dyn_names <- dyn;
+      Hashtbl.add t.dynq q i;
+      t.nq <- i + 1;
       i
   end
 
-let enqueue_c cs qid =
-  if not cs.cqueued.(qid) then begin
-    cs.cqueued.(qid) <- true;
-    Queue.add qid cs.cqueue
+let enqueue t qid =
+  if not t.queued.(qid) then begin
+    t.queued.(qid) <- true;
+    Queue.add qid t.queue
   end
 
 (* O(1) classification of a trapezoid pair, shortcutting the piecewise
@@ -427,8 +198,8 @@ let pair_class (a : Interval.t) (b : Interval.t) =
   then -1
   else 0
 
-let fill_probe cs tag (ai : Interval.t) (bi : Interval.t) =
-  let p = cs.probe in
+let fill_probe t tag (ai : Interval.t) (bi : Interval.t) =
+  let p = t.probe in
   p.(0) <- tag;
   p.(1) <- ai.Interval.m1;
   p.(2) <- ai.Interval.m2;
@@ -447,16 +218,16 @@ let fill_probe cs tag (ai : Interval.t) (bi : Interval.t) =
    [Piecewise.height_of_min] is bit-symmetric, since swapping the
    operands negates both sides of the crossing ratio and IEEE division
    cancels the two sign flips exactly. *)
-let compute_obs_c cs (mi : Interval.t) (ni : Interval.t) =
-  fill_probe cs 0. mi ni;
-  match Schedule.flat_find cs.l2 cs.probe with
+let compute_obs t (mi : Interval.t) (ni : Interval.t) =
+  fill_probe t 0. mi ni;
+  match Schedule.flat_find t.l2 t.probe with
   | dc -> dc
   | exception Not_found -> (
-    match FTbl.find cs.memo cs.probe with
+    match FTbl.find t.memo t.probe with
     | dc -> dc
     | exception Not_found ->
-      let dc = Kernel.consist ~scratch:cs.kscratch ~measured:mi ~nominal:ni in
-      FTbl.add cs.memo (Array.copy cs.probe) dc;
+      let dc = Kernel.consist ~scratch:t.kscratch ~measured:mi ~nominal:ni in
+      FTbl.add t.memo (Array.copy t.probe) dc;
       dc)
 
 let iv_leq (a : Interval.t) (b : Interval.t) =
@@ -470,57 +241,68 @@ let iv_leq (a : Interval.t) (b : Interval.t) =
       if c <> 0 then c < 0
       else Float.compare a.Interval.beta b.Interval.beta <= 0
 
-let compute_height_c cs (ai : Interval.t) (bi : Interval.t) =
+let compute_height t (ai : Interval.t) (bi : Interval.t) =
   let a, b = if iv_leq ai bi then (ai, bi) else (bi, ai) in
-  fill_probe cs 2. a b;
-  match Schedule.flat_find cs.l2 cs.probe with
+  fill_probe t 2. a b;
+  match Schedule.flat_find t.l2 t.probe with
   | h -> h
   | exception Not_found -> (
-    match FTbl.find cs.memo cs.probe with
+    match FTbl.find t.memo t.probe with
     | h -> h
     | exception Not_found ->
-      let h = Kernel.height_of_min ~scratch:cs.kscratch a b in
-      FTbl.add cs.memo (Array.copy cs.probe) h;
+      let h = Kernel.height_of_min ~scratch:t.kscratch a b in
+      FTbl.add t.memo (Array.copy t.probe) h;
       h)
 
-(* Memoized consistency degree; replicates [consistency_between]. *)
-let consistency_c cs (a : Value.t) (b : Value.t) =
+(* Coincidence analysis (fig. 4) between a new and a resident value of
+   the same quantity, memoized: between a measurement-derived and a
+   model-side value the paper's area-based Dc is used, oriented from the
+   observational side (taken together with the height of the pointwise
+   minimum, [Kernel.consist]); between two values of the same side the
+   symmetric possibility of matching (that height alone) replaces it,
+   since the area ratio is not meaningful when neither value is a
+   reference.  A conflict of degree 1 − Dc is recorded against the
+   union of the environments. *)
+let consistency t (a : Value.t) (b : Value.t) =
   let ai = a.Value.interval and bi = b.Value.interval in
   match pair_class ai bi with
   | 1 -> 1.
   | -1 -> 0.
   | _ -> (
     match (a.Value.observational, b.Value.observational) with
-    | true, false -> compute_obs_c cs ai bi
-    | false, true -> compute_obs_c cs bi ai
-    | true, true | false, false -> compute_height_c cs ai bi)
+    | true, false -> compute_obs t ai bi
+    | false, true -> compute_obs t bi ai
+    | true, true | false, false -> compute_height t ai bi)
 
 (* Memoized possibility of matching against a (constant) guard set. *)
-let height_c cs (evidence : Interval.t) (set : Interval.t) =
+let height t (evidence : Interval.t) (set : Interval.t) =
   match pair_class evidence set with
   | 1 -> 1.
   | -1 -> 0.
-  | _ -> compute_height_c cs evidence set
+  | _ -> compute_height t evidence set
 
-let record_conflict_c t cs qid (a : Value.t) (b : Value.t) dc =
+let record_conflict t qid (a : Value.t) (b : Value.t) dc =
   let degree =
     Float.min (1. -. dc) (Float.min a.Value.degree b.Value.degree)
   in
   if degree >= t.limits.min_conflict_degree then begin
     let env = Env.union a.Value.env b.Value.env in
-    let reason = qname_of cs qid in
+    let reason = qname_of t qid in
     if Nogood.record t.db ~reason env degree then begin
-      cs.era <- cs.era + 1;
+      t.era <- t.era + 1;
       Metrics.incr conflicts_total
     end
   end
 
-(* [redundant] with the conjuncts reordered cheapest-first (same truth
-   table): the observational flag and degree compare are two loads, the
-   interval containment four float compares, and the [History.subset]
-   string-set walk — the interpreter's hidden cost — runs only on pairs
-   that pass everything else. *)
-let redundant_c (w : Value.t) (v : Value.t) =
+(* A resident value [w] makes a newcomer [v] redundant either by
+   subsumption ([Value.subsumes]) or by being an exact duplicate up to
+   derivation history: the same interval under the same environment with
+   at least the degree carries no new information, whatever path
+   produced it.  The conjuncts run cheapest-first: the observational
+   flag and degree compare are two loads, the interval containment four
+   float compares, and the [History.subset] string-set walk runs only on
+   pairs that pass everything else. *)
+let redundant (w : Value.t) (v : Value.t) =
   w.Value.observational = v.Value.observational
   && w.Value.degree >= v.Value.degree
   && ((Interval.contains v.Value.interval w.Value.interval
@@ -529,97 +311,96 @@ let redundant_c (w : Value.t) (v : Value.t) =
      || (Env.equal w.Value.env v.Value.env
         && Interval.equal_rel w.Value.interval v.Value.interval))
 
-let add_value_c t cs qid (v : Value.t) =
-  let r = cs.carr.(qid) in
-  if List.exists (fun w -> redundant_c w v) !r then false
+let add_value t qid (v : Value.t) =
+  let residents = t.carr.(qid) in
+  if List.exists (fun w -> redundant w v) residents then false
   else if Nogood.is_nogood t.db v.Value.env then false
   else begin
     List.iter
       (fun w ->
-        let dc = consistency_c cs v w in
-        if dc < 1. then record_conflict_c t cs qid v w dc)
-      !r;
-    (* One fused pass replacing the interpreter's filter + stable sort:
-       residents are kept sorted by [Value.strength] as an invariant, so
-       inserting [v] before the first resident it does not lose to is
-       exactly what the stable sort of [v :: filtered] produces.
+        let dc = consistency t v w in
+        if dc < 1. then record_conflict t qid v w dc)
+      residents;
+    (* One fused pass filtering the residents [v] makes redundant and
+       inserting [v]: residents are kept sorted by [Value.strength] as an
+       invariant, so inserting [v] before the first resident it does not
+       lose to is exactly the stable sort of [v :: filtered].
        Filtered-out residents flag the cell dirty: the running firing
        lost an absorption witness and must not be stamped as a no-op. *)
     let rec ins placed = function
       | [] -> if placed then [] else [ v ]
       | w :: rest ->
-        if redundant_c v w then begin
-          cs.dirty <- true;
+        if redundant v w then begin
+          t.dirty <- true;
           ins placed rest
         end
         else if placed then w :: ins placed rest
         else if Value.strength v w <= 0 then v :: w :: ins true rest
         else w :: ins placed rest
     in
-    let kept = ins false !r in
+    let kept = ins false residents in
     let rec take n = function
       | [] -> []
       | x :: rest ->
         if n = 0 then begin
-          cs.dirty <- true;
+          t.dirty <- true;
           []
         end
         else x :: take (n - 1) rest
     in
     let kept = take t.limits.max_values_per_cell kept in
-    r := kept;
-    cs.versions.(qid) <- cs.versions.(qid) + 1;
+    t.carr.(qid) <- kept;
+    t.versions.(qid) <- t.versions.(qid) + 1;
     let survived = List.exists (fun w -> w == v) kept in
     if survived then ignore (Budget.charge_envs t.budget 1);
     survived
   end
 
-(* Guard degree with a version-stamped cache: recomputed only when some
-   guard quantity's cell changed since the last evaluation (the
-   interpreter recomputes on every firing).  Over-invalidation is safe;
+(* Possibility that the guards of instruction [i] are satisfied, judged
+   on the observational evidence for each guard quantity: pinned
+   evidence first, else the strongest observational resident (a
+   measurement when available — the first in the sorted cell), not every
+   derived echo.  A guard without evidence passes: the engine assumes
+   the nominal operating region a priori, as the paper does.  Cached
+   under a version stamp and recomputed only when some guard quantity's
+   cell changed since the last evaluation.  Over-invalidation is safe;
    the stamp tracks exactly the cells the computation reads. *)
-let guard_degree_c cs i =
-  let ins = cs.sched.Schedule.instrs.(i) in
+let guard_degree t i =
+  let ins = t.sched.Schedule.instrs.(i) in
   let guards = ins.Schedule.guards in
   let ng = Array.length guards in
   if ng = 0 then 1.
   else begin
-    let stamp = cs.gstamp.(i) in
+    let stamp = t.gstamp.(i) in
     let fresh =
       Array.length stamp = ng
       &&
       let ok = ref true in
       Array.iteri
-        (fun gi (qid, _) -> if stamp.(gi) <> cs.versions.(qid) then ok := false)
+        (fun gi (qid, _) -> if stamp.(gi) <> t.versions.(qid) then ok := false)
         guards;
       !ok
     in
-    if fresh then cs.gdeg.(i)
+    if fresh then t.gdeg.(i)
     else begin
       let acc = ref 1. in
       let stamp = Array.make ng 0 in
       Array.iteri
         (fun gi (qid, set) ->
-          stamp.(gi) <- cs.versions.(qid);
+          stamp.(gi) <- t.versions.(qid);
           let best_interval =
-            match cs.pinned.(i).(gi) with
-            | Some v -> Some v
-            | None -> begin
-              let evidence =
-                List.filter (fun v -> v.Value.observational) !(cs.carr.(qid))
-                |> List.sort Value.strength
-              in
-              match evidence with
-              | [] -> None
-              | best :: _ -> Some best.Value.interval
-            end
+            match t.pinned.(i).(gi) with
+            | Some _ as pinned -> pinned
+            | None ->
+              List.find_opt (fun v -> v.Value.observational) t.carr.(qid)
+              |> Option.map (fun v -> v.Value.interval)
           in
           match best_interval with
           | None -> ()
-          | Some interval -> acc := Float.min !acc (height_c cs interval set))
+          | Some interval -> acc := Float.min !acc (height t interval set))
         guards;
-      cs.gstamp.(i) <- stamp;
-      cs.gdeg.(i) <- !acc;
+      t.gstamp.(i) <- stamp;
+      t.gdeg.(i) <- !acc;
       !acc
     end
   end
@@ -629,7 +410,7 @@ let guard_degree_c cs i =
    gather order (terms added last-to-first onto crisp 0). *)
 let crisp0 = Interval.crisp 0.
 
-let solve_c (ins : Schedule.instr) tpos (chosen : Value.t array) =
+let solve (ins : Schedule.instr) tpos (chosen : Value.t array) =
   match ins.Schedule.kernel with
   | Schedule.Linear { coeffs; inv; crisp_k } ->
     let n = Array.length coeffs in
@@ -649,8 +430,8 @@ let solve_c (ins : Schedule.instr) tpos (chosen : Value.t array) =
   end
   | Schedule.Seed _ -> None
 
-let fire_c t cs (f : Schedule.firing) ~gdeg =
-  let ins = cs.sched.Schedule.instrs.(f.Schedule.instr) in
+let fire t (f : Schedule.firing) ~gdeg =
+  let ins = t.sched.Schedule.instrs.(f.Schedule.instr) in
   let name = ins.Schedule.name in
   let nsrc = Array.length f.Schedule.srcs in
   let cands =
@@ -659,7 +440,7 @@ let fire_c t cs (f : Schedule.firing) ~gdeg =
         Array.of_list
           (List.filter
              (fun (v : Value.t) -> not (Value.History.mem name v.Value.history))
-             !(cs.carr.(qid))))
+             t.carr.(qid)))
       f.Schedule.srcs
   in
   let some_empty = ref false in
@@ -670,21 +451,19 @@ let fire_c t cs (f : Schedule.firing) ~gdeg =
     let results = ref [] in
     let chosen = Array.make nsrc cands.(0).(0) in
     (* descend first source outermost; leaves are processed while the
-       combination budget lasts, and results are prepended, exactly as
-       the interpreter's [combos] does *)
+       combination budget lasts, and results are prepended *)
     let rec combos si =
       if si = nsrc then begin
         if !budget > 0 then begin
           decr budget;
-          match solve_c ins f.Schedule.tpos chosen with
+          match solve ins f.Schedule.tpos chosen with
           | None -> ()
           | Some interval ->
             let env = ref ins.Schedule.assumptions
             and degree = ref (Float.min ins.Schedule.degree gdeg)
             and obs = ref false
             and hist = ref Value.History.empty in
-            (* the interpreter folds its accumulator list, which holds
-               the choices in reverse source order *)
+            (* fold the choices in reverse source order *)
             for j = nsrc - 1 downto 0 do
               let v = chosen.(j) in
               env := Env.union !env v.Value.env;
@@ -712,89 +491,52 @@ let fire_c t cs (f : Schedule.firing) ~gdeg =
     !results
   end
 
-let seed_c t cs =
+let seed t =
   if not t.seeded then begin
     t.seeded <- true;
     Array.iter
       (fun i ->
-        let ins = cs.sched.Schedule.instrs.(i) in
+        let ins = t.sched.Schedule.instrs.(i) in
         match ins.Schedule.kernel with
         | Schedule.Seed { nominal; off } ->
-          let set = Schedule.seed_interval cs.sched off in
+          let set = Schedule.seed_interval t.sched off in
           let qid = ins.Schedule.vars.(0) in
           let v =
             if nominal then Value.given set ins.Schedule.assumptions
             else Value.bound set ins.Schedule.assumptions
           in
-          if add_value_c t cs qid v then enqueue_c cs qid
+          if add_value t qid v then enqueue t qid
         | Schedule.Linear _ | Schedule.Product -> ())
-      cs.sched.Schedule.seeds
+      t.sched.Schedule.seeds
   end
-
-(* ------------------------------------------------------------------ *)
-
-let seed t =
-  match t.cstate with
-  | Some cs -> seed_c t cs
-  | None ->
-    if not t.seeded then begin
-      t.seeded <- true;
-      List.iter
-        (fun (c : Constr.t) ->
-          match c.Constr.form with
-          | Constr.Nominal (q, set) ->
-            let v = Value.given set c.Constr.assumptions in
-            if add_value t q v then enqueue t q
-          | Constr.Bound (q, set) ->
-            let v = Value.bound set c.Constr.assumptions in
-            if add_value t q v then enqueue t q
-          | Constr.Linear _ | Constr.Product _ -> ())
-        t.model.Model.constraints
-    end
 
 let observe t q interval =
   seed t;
-  match t.cstate with
-  | Some cs ->
-    let qid = qid_of t cs q in
-    if add_value_c t cs qid (Value.measured interval) then enqueue_c cs qid
-  | None -> if add_value t q (Value.measured interval) then enqueue t q
+  let qid = qid_of t q in
+  if add_value t qid (Value.measured interval) then enqueue t qid
 
 let predict t ?degree q interval env =
   seed t;
-  match t.cstate with
-  | Some cs ->
-    let qid = qid_of t cs q in
-    if add_value_c t cs qid (Value.given ?degree interval env) then
-      enqueue_c cs qid
-  | None ->
-    if add_value t q (Value.given ?degree interval env) then enqueue t q
+  let qid = qid_of t q in
+  if add_value t qid (Value.given ?degree interval env) then enqueue t qid
 
-(* Possibility that the guards of [c] are satisfied, judged on the
-   observational evidence available for each guard quantity; a guard
-   without evidence passes (the engine assumes the nominal operating
-   region a priori, as the paper does).  Pinning evidence invalidates
-   the compiled guard cache. *)
+(* Pinning evidence invalidates the guard cache. *)
 let set_guard_evidence t evidence =
-  t.guard_evidence <- evidence;
-  match t.cstate with
-  | None -> ()
-  | Some cs ->
-    Array.iteri
-      (fun i (ins : Schedule.instr) ->
-        let guards = ins.Schedule.guards in
-        if Array.length guards > 0 then begin
-          cs.pinned.(i) <-
-            Array.map
-              (fun (qid, _) ->
-                let q = cs.sched.Schedule.qty.(qid) in
-                List.find_map
-                  (fun (q', v) -> if Quantity.equal q q' then Some v else None)
-                  evidence)
-              guards;
-          cs.gstamp.(i) <- [||]
-        end)
-      cs.sched.Schedule.instrs
+  Array.iteri
+    (fun i (ins : Schedule.instr) ->
+      let guards = ins.Schedule.guards in
+      if Array.length guards > 0 then begin
+        t.pinned.(i) <-
+          Array.map
+            (fun (qid, _) ->
+              let q = t.sched.Schedule.qty.(qid) in
+              List.find_map
+                (fun (q', v) -> if Quantity.equal q q' then Some v else None)
+                evidence)
+            guards;
+        t.gstamp.(i) <- [||]
+      end)
+    t.sched.Schedule.instrs
 
 exception Step_budget
 exception Budget_tripped
@@ -812,116 +554,77 @@ exception Budget_tripped
 
    The stamp is only recorded when that absorption argument is airtight:
    no insertion during the firing truncated or filtered a resident away
-   (either can remove an absorption witness, [cs.dirty]), and the target
+   (either can remove an absorption witness, [t.dirty]), and the target
    is not one of its own sources (the candidate snapshot would differ on
-   re-run).  The interpreter re-fires unconditionally and re-derives
-   the same values just to throw them away — this is where the compiled
-   engine stops paying for that. *)
-let exec_firing t cs (f : Schedule.firing) =
-  let gdeg = guard_degree_c cs f.Schedule.instr in
+   re-run).  The reference engine in [Flames_check] re-fires
+   unconditionally and re-derives the same values just to throw them
+   away. *)
+let exec_firing t (f : Schedule.firing) =
+  let gdeg = guard_degree t f.Schedule.instr in
   let fid = f.Schedule.fid in
-  let st = cs.fstamp.(fid) in
+  let st = t.fstamp.(fid) in
   let nsrc = Array.length f.Schedule.srcs in
   let unchanged =
     Array.length st = nsrc + 2
-    && Int64.bits_of_float cs.fgdeg.(fid) = Int64.bits_of_float gdeg
+    && Int64.bits_of_float t.fgdeg.(fid) = Int64.bits_of_float gdeg
     &&
-    let ok = ref (st.(nsrc) = cs.versions.(f.Schedule.target)
-                  && st.(nsrc + 1) = cs.era) in
+    let ok = ref (st.(nsrc) = t.versions.(f.Schedule.target)
+                  && st.(nsrc + 1) = t.era) in
     Array.iteri
-      (fun i s -> if st.(i) <> cs.versions.(s) then ok := false)
+      (fun i s -> if st.(i) <> t.versions.(s) then ok := false)
       f.Schedule.srcs;
     !ok
   in
   if not unchanged then begin
-    cs.dirty <- false;
+    t.dirty <- false;
     List.iter
       (fun v ->
-        if add_value_c t cs f.Schedule.target v then
-          enqueue_c cs f.Schedule.target)
-      (fire_c t cs f ~gdeg);
+        if add_value t f.Schedule.target v then
+          enqueue t f.Schedule.target)
+      (fire t f ~gdeg);
     if
-      cs.dirty
+      t.dirty
       || Array.exists (fun s -> s = f.Schedule.target) f.Schedule.srcs
-    then cs.fstamp.(fid) <- [||]
+    then t.fstamp.(fid) <- [||]
     else begin
       let st =
-        match cs.fstamp.(fid) with
+        match t.fstamp.(fid) with
         | st when Array.length st = nsrc + 2 -> st
         | _ ->
           let st = Array.make (nsrc + 2) 0 in
-          cs.fstamp.(fid) <- st;
+          t.fstamp.(fid) <- st;
           st
       in
-      Array.iteri (fun i s -> st.(i) <- cs.versions.(s)) f.Schedule.srcs;
-      st.(nsrc) <- cs.versions.(f.Schedule.target);
-      st.(nsrc + 1) <- cs.era;
-      cs.fgdeg.(fid) <- gdeg
+      Array.iteri (fun i s -> st.(i) <- t.versions.(s)) f.Schedule.srcs;
+      st.(nsrc) <- t.versions.(f.Schedule.target);
+      st.(nsrc + 1) <- t.era;
+      t.fgdeg.(fid) <- gdeg
     end
   end
 
-let run_interpreted t =
+let run t =
+  Trace.with_span ~record:schedule_run_seconds "schedule_run" @@ fun () ->
   seed t;
-  let steps0 = t.steps in
-  let finish () = Metrics.incr ~by:(t.steps - steps0) steps_total in
-  try
-    while not (Queue.is_empty t.queue) do
-      let q = Queue.pop t.queue in
-      Hashtbl.remove t.queued q;
-      t.steps <- t.steps + 1;
-      if t.steps > t.limits.max_steps then raise Step_budget;
-      if
-        (not (Budget.charge_steps t.budget 1))
-        || Budget.tripped t.budget
-      then raise Budget_tripped;
-      let constraints = Option.value ~default:[] (Hashtbl.find_opt t.by_var q) in
-      List.iter
-        (fun c ->
-          if not (Constr.is_generative c) then
-            List.iter
-              (fun target ->
-                if not (Quantity.equal target q) then
-                  List.iter
-                    (fun v -> if add_value t target v then enqueue t target)
-                    (fire t c target))
-              (Constr.vars c))
-        constraints
-    done;
-    finish ()
-  with
-  | Step_budget ->
-    finish ();
-    t.truncated <- true;
-    Flames_obs.Log.warn "propagation stopped after %d steps (budget exhausted)"
-      t.steps
-  | Budget_tripped ->
-    (* A cooperative budget stop is an expected degradation, not an
-       anomaly: stop quietly, the caller reads the trips off the budget. *)
-    finish ();
-    t.truncated <- true
-
-let run_compiled t cs =
-  seed_c t cs;
   let steps0 = t.steps in
   let finish () =
     Metrics.incr ~by:(t.steps - steps0) steps_total;
     (* Seed the next engine's shared snapshot with what this run had to
        compute itself; a handful of novelties is not worth a copy. *)
-    if FTbl.length cs.memo >= 512 then Schedule.memo_publish cs.sched cs.memo
+    if FTbl.length t.memo >= 512 then Schedule.memo_publish t.sched t.memo
   in
-  let plan = cs.sched.Schedule.plan in
+  let plan = t.sched.Schedule.plan in
   let nplan = Array.length plan in
   try
-    while not (Queue.is_empty cs.cqueue) do
-      let qid = Queue.pop cs.cqueue in
-      cs.cqueued.(qid) <- false;
+    while not (Queue.is_empty t.queue) do
+      let qid = Queue.pop t.queue in
+      t.queued.(qid) <- false;
       t.steps <- t.steps + 1;
       if t.steps > t.limits.max_steps then raise Step_budget;
       if
         (not (Budget.charge_steps t.budget 1))
         || Budget.tripped t.budget
       then raise Budget_tripped;
-      if qid < nplan then Array.iter (exec_firing t cs) plan.(qid)
+      if qid < nplan then Array.iter (exec_firing t) plan.(qid)
     done;
     finish ()
   with
@@ -934,23 +637,22 @@ let run_compiled t cs =
     finish ();
     t.truncated <- true
 
-let run t =
-  match t.cstate with
-  | Some cs ->
-    Trace.with_span ~record:schedule_run_seconds "schedule_run" @@ fun () ->
-    run_compiled t cs
-  | None ->
-    Trace.with_span ~record:run_seconds "propagate.run" @@ fun () ->
-    run_interpreted t
-
-(* A pure read: unlike [cell], a query for an unknown quantity must not
-   register an empty cell, so quiescent engines (e.g. the cached
+(* A pure read: unlike [qid_of], a query for an unknown quantity must
+   not intern it, so quiescent engines (e.g. the cached
    nominal-prediction engine, shared across requests) can be read
-   concurrently. *)
+   concurrently.  Cells are kept sorted, strongest first. *)
 let values t q =
-  match Hashtbl.find_opt t.cells q with
-  | Some r -> List.sort Value.strength !r
-  | None -> []
+  match Hashtbl.find_opt t.sched.Schedule.qindex q with
+  | Some i -> t.carr.(i)
+  | None -> (
+    match Hashtbl.find_opt t.dynq q with Some i -> t.carr.(i) | None -> [])
+
+let cells t =
+  let stat = t.sched.Schedule.qty in
+  Hashtbl.fold (fun q i acc -> (q, t.carr.(i)) :: acc) t.dynq
+    (List.init (Array.length stat) (fun i -> (stat.(i), t.carr.(i))))
+  |> List.filter (fun (_, vs) -> vs <> [])
+  |> List.sort (fun (a, _) (b, _) -> Quantity.compare a b)
 
 let best_value t ?observational q =
   let vs = values t q in
@@ -974,10 +676,3 @@ let nogood_db t = t.db
 let model t = t.model
 let steps_used t = t.steps
 let truncated t = t.truncated
-let budget t = t.budget
-
-let pp_cell t ppf q =
-  Format.fprintf ppf "%a:@." Quantity.pp q;
-  List.iter
-    (fun v -> Format.fprintf ppf "  %a@." (Value.pp ~names:(names t)) v)
-    (values t q)

@@ -6,7 +6,13 @@
     insertion into a cell is checked against the resident values
     (fig. 4 coincidence analysis) and each partial or hard conflict is
     recorded as a weighted nogood ([degree = 1 − Dc]) in the engine's
-    database. *)
+    database.
+
+    The engine runs a model's compiled {!Schedule}: dense quantity ids,
+    a preplanned firing order, memoized consistency kernels and
+    version-stamped no-op skipping.  Its semantics are pinned by the
+    closure interpreter kept in [Flames_check.Reference], which the
+    differential oracle diffs it against cell by cell. *)
 
 module Interval = Flames_fuzzy.Interval
 module Env = Flames_atms.Env
@@ -38,14 +44,9 @@ val create :
     env per surviving cell insertion; when it trips, {!run} stops at the
     next check-point and {!truncated} latches.
 
-    With [schedule] (which must be compiled from the same model) the
-    engine runs the compiled fast path: preplanned firing order over
-    dense quantity ids, memoized consistency kernels, flat seed
-    buffers.  Results — values, conflicts, budgets charged — are
-    byte-identical to the interpreter; only the speed differs. *)
-
-val compiled : t -> bool
-(** Whether this engine runs the compiled fast path. *)
+    [schedule] must be compiled from the same model (e.g. the one
+    [Flames_engine.Cache] keeps); without it one is lowered with
+    {!Schedule.of_model}. *)
 
 val observe : t -> Quantity.t -> Interval.t -> unit
 (** Enter a measurement (environment-free, degree 1). *)
@@ -69,7 +70,11 @@ val run : t -> unit
     stays valid, later derivations are simply missing ({!truncated}). *)
 
 val values : t -> Quantity.t -> Value.t list
-(** Resident values of the quantity, strongest first. *)
+(** Resident values of the quantity, strongest first
+    ({!Value.strength}). *)
+
+val cells : t -> (Quantity.t * Value.t list) list
+(** Every non-empty cell, by {!Quantity.compare}, each as {!values}. *)
 
 val best_value : t -> ?observational:bool -> Quantity.t -> Value.t option
 (** The tightest resident value; with [~observational] restricted to that
@@ -86,10 +91,5 @@ val truncated : t -> bool
 (** Some {!run} stopped at a budget check-point (or the hard step
     limit): results are sound but possibly incomplete. *)
 
-val budget : t -> Budget.t
-(** The engine's budget (a fresh unlimited one when none was given). *)
-
 val names : t -> int -> string
 (** Assumption pretty-naming. *)
-
-val pp_cell : t -> Format.formatter -> Quantity.t -> unit

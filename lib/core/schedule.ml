@@ -6,8 +6,9 @@ module Trace = Flames_obs.Trace
 
 (* A model compiled to a flat propagation schedule.
 
-   [Model.compile] produces the constraint list the interpreter in
-   {!Propagate} walks on every run: association lists keyed by
+   [Model.compile] produces a constraint list; walking it on every run
+   (as the reference interpreter in [Flames_check.Reference] does)
+   means association lists keyed by
    [Quantity.t] (polymorphic hash), per-firing list filtering to find
    the sources, [Format] calls to render conflict reasons, and a fresh
    [1. /. ct] division per linear gather.  A schedule performs all of
@@ -26,15 +27,15 @@ module Trace = Flames_obs.Trace
      non-dequeued variable as target) is planned once into
      [plan.(qid)].
 
-   The numeric semantics are untouched: a compiled engine must produce
-   byte-identical values, conflicts and rankings to the interpreter
-   (enforced by [Oracle.check_compiled]).  A schedule is immutable
+   The numeric semantics are untouched: {!Propagate} running a schedule
+   must produce cell-for-cell the values and nogoods of the reference
+   interpreter (enforced by [Oracle.check_engine]).  A schedule is immutable
    after construction and safe to share across engines and domains;
    the only mutable state is the memoized sensitivity report, guarded
    by [rlock]. *)
 
 (* Consistency-memo key: an operation tag plus the two trapezoids, as 9
-   flat floats.  See {!Propagate}'s fast path for the canonicalisation;
+   flat floats.  See {!Propagate} for the canonicalisation;
    the table lives here so every engine compiled from one schedule
    shares the entries — the fault sweep re-derives mostly identical
    values run after run.  Plain float [=] per slot is sound: no NaN

@@ -5,10 +5,9 @@
     over flat float buffers (trapezoid parameters as 4 contiguous
     floats, linear coefficients and their reciprocals precomputed), and
     the constraint firing order planned once instead of discovered per
-    propagation.  {!Propagate.create} accepts a schedule and then runs
-    the compiled fast path; the results are byte-identical to the
-    interpreter (enforced by the [compiled-vs-interp] differential
-    oracle).
+    propagation.  {!Propagate} runs nothing else: its values and
+    nogoods match the reference interpreter in [Flames_check] cell for
+    cell (enforced by the [engine-vs-reference] differential oracle).
 
     Schedules are immutable after construction and safe to share across
     engines, sessions and worker domains; they are what

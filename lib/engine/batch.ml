@@ -109,7 +109,7 @@ let backoff r ~index ~attempt =
 (* The job body records everything Stats later reports — stage latency
    histograms, completion and conflict counters — into the registry;
    nothing is tallied on the side. *)
-let run_one cache ?budget ?(attempt = 1) ?(use_compiled = true) j =
+let run_one cache ?budget ?(attempt = 1) j =
   (match j.prelude with Some f -> f attempt | None -> ());
   let schedule =
     Trace.with_span ~record:Telemetry.compile_seconds "batch.compile"
@@ -119,7 +119,7 @@ let run_one cache ?budget ?(attempt = 1) ?(use_compiled = true) j =
     Trace.with_span ~record:Telemetry.diagnose_seconds "batch.diagnose"
       (fun () ->
         Diagnose.run ?config:j.config ?limits:j.limits ?budget ~schedule
-          ~use_compiled j.netlist j.observations)
+          j.netlist j.observations)
   in
   Metrics.incr Telemetry.jobs_completed_total;
   Metrics.incr ~by:(List.length result.Diagnose.conflicts)
@@ -160,8 +160,7 @@ let summarize ~workers ~wall ~cpu ~before ~after outcomes =
 (* A pending job is either in flight or was shed up-front. *)
 type pending = Flight of Diagnose.result Pool.promise | Shed of string
 
-let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker
-    ?use_compiled jobs =
+let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker jobs =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let before = Telemetry.read () in
   let wall0 = now () and cpu0 = Sys.time () in
@@ -177,7 +176,7 @@ let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker
     let budget = Option.map Budget.start budget in
     Context.with_context_opt ctx (fun () ->
         Pool.submit pool ~label:j.label ?timeout ?budget (fun () ->
-            run_one cache ?budget ~attempt ?use_compiled j))
+            run_one cache ?budget ~attempt j))
   in
   let gate j =
     match breaker with
@@ -248,9 +247,9 @@ let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker
   in
   (outcomes, stats)
 
-let run ?workers ?cache ?timeout ?budget ?retry ?breaker ?use_compiled jobs =
+let run ?workers ?cache ?timeout ?budget ?retry ?breaker jobs =
   Pool.with_pool ?workers (fun pool ->
-      run_in ~pool ?cache ?timeout ?budget ?retry ?breaker ?use_compiled jobs)
+      run_in ~pool ?cache ?timeout ?budget ?retry ?breaker jobs)
 
 let sequential ?cache jobs =
   let cache = match cache with Some c -> c | None -> Cache.create () in

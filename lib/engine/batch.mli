@@ -72,7 +72,6 @@ val run_in :
   ?budget:Budget.spec ->
   ?retry:retry ->
   ?breaker:Breaker.t ->
-  ?use_compiled:bool ->
   job list ->
   outcome list * Stats.t
 (** [run_in ~pool jobs] submits every job to the pool, awaits them in
@@ -98,11 +97,7 @@ val run_in :
     repeatedly: shed jobs resolve to [Error (Breaker_open _)] without
     touching the pool.  Since submission happens up-front, the breaker's
     effect within a single batch is limited to retries; its main use is
-    across successive batches sharing one breaker.
-
-    [?use_compiled] (default [true]) selects the compiled-schedule fast
-    path, exactly as in [Diagnose.run]; [false] forces the interpreter
-    (the CLI's [--no-compiled]).  Results are bit-identical. *)
+    across successive batches sharing one breaker. *)
 
 val run :
   ?workers:int ->
@@ -111,7 +106,6 @@ val run :
   ?budget:Budget.spec ->
   ?retry:retry ->
   ?breaker:Breaker.t ->
-  ?use_compiled:bool ->
   job list ->
   outcome list * Stats.t
 (** One-shot convenience: run over a fresh pool of [?workers] domains

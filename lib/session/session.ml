@@ -14,7 +14,7 @@ type measurement = { id : int; quantity : Quantity.t; interval : Interval.t }
 type t = {
   netlist : Netlist.t;
   model : Model.t;
-  schedule : Schedule.t option;  (** [None] = interpreter session *)
+  schedule : Schedule.t;
   limits : Propagate.limits option;
   budget_spec : Budget.spec;
   degree : float;
@@ -48,7 +48,7 @@ let observations t =
 let rebuild t =
   Flames_obs.Metrics.incr session_rebuilds_total;
   let engine =
-    Diagnose.full_pass ?limits:t.limits ?schedule:t.schedule
+    Diagnose.full_pass ?limits:t.limits ~schedule:t.schedule
       ~budget:(Budget.fresh ()) ~degree:t.degree ~model:t.model
       ~predictions:t.predictions ~observations:(observations t)
       ~guard_evidence:[] ()
@@ -59,37 +59,28 @@ let rebuild t =
 let ensure_live t =
   match t.live with Some engine -> engine | None -> rebuild t
 
-let create ?config ?limits ?model ?schedule ?(use_compiled = true)
-    ?(budget_spec = Budget.unlimited) ?(prediction_floor = 1e-3)
+let create ?config ?limits ?model ?schedule ?(budget_spec = Budget.unlimited)
+    ?(prediction_floor = 1e-3)
     ?(sensitivity_threshold = 0.02) ?(prediction_degree = 0.95)
     ?(simulate_predictions = true) ?(fault_point = fun _ -> ()) netlist =
   Flames_obs.Trace.with_span
     ~args:[ ("circuit", netlist.Netlist.name) ]
     "session.create"
   @@ fun () ->
-  (* Same resolution as [Diagnose.run]: the compiled schedule is the
-     default execution vehicle, [~use_compiled:false] forces the
-     interpreter — and produces bit-identical results (the equivalence
-     contract holds either way, against the matching [Diagnose.run]
-     mode). *)
+  (* same model acquisition as [Diagnose.run] *)
   let model, schedule =
     match schedule with
-    | Some s when use_compiled -> (Schedule.model s, Some s)
-    | _ ->
+    | Some s -> (Schedule.model s, s)
+    | None ->
       let m =
         match model with Some m -> m | None -> Model.compile ?config netlist
       in
-      if use_compiled then (m, Some (Schedule.of_model m)) else (m, None)
+      (m, Schedule.of_model m)
   in
   let predictions =
     if simulate_predictions then
-      match schedule with
-      | Some s ->
-        Schedule.predictions s ~floor:prediction_floor
-          ~threshold:sensitivity_threshold
-      | None ->
-        Diagnose.simulator_predictions netlist model ~floor:prediction_floor
-          ~threshold:sensitivity_threshold
+      Schedule.predictions schedule ~floor:prediction_floor
+        ~threshold:sensitivity_threshold
     else []
   in
   let degree = prediction_degree in
@@ -187,7 +178,8 @@ let diagnoses t =
     t.fault_point "diagnose";
     let budget = Budget.start t.budget_spec in
     let r =
-      Diagnose.analyze ?limits:t.limits ~budget ~degree:t.degree
+      Diagnose.analyze ?limits:t.limits ~schedule:t.schedule ~budget
+        ~degree:t.degree
         ~model:t.model ~predictions:t.predictions ~prediction:t.prediction
         ~first t.netlist (observations t)
     in
@@ -215,11 +207,11 @@ let next_test ?points t =
   in
   Best_test.best ests candidates
 
-let restore ?config ?limits ?model ?schedule ?use_compiled ?budget_spec
+let restore ?config ?limits ?model ?schedule ?budget_spec
     ?prediction_floor ?sensitivity_threshold ?prediction_degree
     ?simulate_predictions ?fault_point ~measurements ~next_id ~steps netlist =
   let t =
-    create ?config ?limits ?model ?schedule ?use_compiled ?budget_spec
+    create ?config ?limits ?model ?schedule ?budget_spec
       ?prediction_floor ?sensitivity_threshold ?prediction_degree
       ?simulate_predictions ?fault_point netlist
   in
@@ -251,5 +243,5 @@ let measurements t = t.measurements
 let next_id t = t.next_id
 let netlist t = t.netlist
 let model t = t.model
-let schedule t = t.schedule
+let schedule t = Some t.schedule
 let steps t = t.steps

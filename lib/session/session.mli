@@ -49,7 +49,6 @@ val create :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget_spec:Budget.spec ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -65,10 +64,6 @@ val create :
     once per schedule, shared with [Diagnose.run] and other sessions);
     all three are reused by every later step.  No propagation pass runs
     here: the first {!diagnoses} builds the live engine lazily.
-
-    Sessions run the compiled schedule by default, exactly like
-    [Diagnose.run]; [~use_compiled:false] forces the interpreter and
-    ignores [?schedule].  Results are bit-identical either way.
 
     [?budget_spec] (default unlimited) is armed afresh for each
     {!diagnoses} call and meters only the analysis stages (guard second
@@ -87,7 +82,6 @@ val restore :
   ?limits:Propagate.limits ->
   ?model:Model.t ->
   ?schedule:Schedule.t ->
-  ?use_compiled:bool ->
   ?budget_spec:Budget.spec ->
   ?prediction_floor:float ->
   ?sensitivity_threshold:float ->
@@ -161,8 +155,7 @@ val model : t -> Model.t
     ([Diagnose.run ~model]) when checking equivalence. *)
 
 val schedule : t -> Schedule.t option
-(** The compiled schedule the session executes, [None] for an
-    interpreter session ([~use_compiled:false]). *)
+(** The compiled schedule the session executes; always [Some]. *)
 
 val steps : t -> int
 (** Mutations performed so far (adds + retracts + refines). *)

@@ -89,29 +89,3 @@ let resolve t b =
     x.(row) <- !s /. t.lu.(row).(row)
   done;
   x
-
-(* Sherman–Morrison refresh for A' = A + u·vᵀ given factors of A:
-   x = z − w·(v·z)/(1 + v·w) with A z = b and A w = u.  Unlike
-   [resolve] this is *not* bit-identical to factorising A' from
-   scratch, so callers must only use it where approximate solutions
-   are acceptable, and the result is rejected (None) when the
-   denominator is degenerate or the residual against A' betrays a
-   badly conditioned update. *)
-let rank1_refresh t ~u ~v ~a' b =
-  let z = resolve t b in
-  let w = resolve t u in
-  let dot x y =
-    let s = ref 0. in
-    Array.iteri (fun i xi -> s := !s +. (xi *. y.(i))) x;
-    !s
-  in
-  let denom = 1. +. dot v w in
-  if Float.abs denom < 1e-10 then None
-  else begin
-    let k = dot v z /. denom in
-    let x = Array.mapi (fun i zi -> zi -. (k *. w.(i))) z in
-    let scale =
-      Array.fold_left (fun acc bi -> Float.max acc (Float.abs bi)) 1. b
-    in
-    if Linalg.residual_norm a' x b <= 1e-8 *. scale then Some x else None
-  end

@@ -6,13 +6,7 @@
     side reproduces [Linalg.solve_opt a b] {e bit for bit}.  That makes
     factor reuse invisible to every downstream comparison: a sweep that
     re-solves many vectors against one matrix returns the same floats
-    it would have returned solving each system from scratch.
-
-    {!rank1_refresh} additionally answers small single-parameter matrix
-    perturbations (A + u·vᵀ) from the same factors via
-    Sherman–Morrison.  It is {e approximate} (not bit-identical to a
-    fresh factorisation) and self-checks its residual; callers fall
-    back to a full solve when it declines. *)
+    it would have returned solving each system from scratch. *)
 
 type t
 
@@ -24,16 +18,3 @@ val factor : float array array -> (t, [ `Singular ]) result
 val resolve : t -> float array -> float array
 (** Solve for one right-hand side against stored factors.
     [resolve (factor a) b] is bit-identical to [Linalg.solve_opt a b]. *)
-
-val rank1_refresh :
-  t ->
-  u:float array ->
-  v:float array ->
-  a':float array array ->
-  float array ->
-  float array option
-(** [rank1_refresh t ~u ~v ~a' b] solves [(A + u·vᵀ) x = b] from the
-    factors of [A] by Sherman–Morrison, where [a'] is the perturbed
-    matrix (used only to verify the residual).  [None] when the update
-    denominator is degenerate or the verified residual is too large —
-    the caller must then factorise [a'] itself. *)

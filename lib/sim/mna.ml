@@ -29,33 +29,18 @@ type state = {
 
 (* Factor reuse across a parameter sweep.  One entry per device-region
    assignment: the first matrix solved under that assignment becomes the
-   base whose LU factors answer later systems — bit-identically when the
-   matrix is unchanged (only the right-hand side moved: source, diode or
-   junction-drop sweeps), approximately via a residual-checked
-   Sherman–Morrison refresh when the difference is rank-1 (single
-   conductance/gain/β perturbations), and by an ordinary full solve
-   otherwise.  The sweep is an optimisation context only: it never
-   changes which systems are solved, and a [solve] without one is the
-   unchanged original path. *)
-type sweep = {
-  factors : (string, float array array * Lu.t) Hashtbl.t;
-  rank1 : bool;
-      (* allow the approximate Sherman–Morrison path.  Callers whose
-         downstream consumers threshold or compare the solved voltages
-         (e.g. sensitivity-based predictions, where a 1e-7 drift can
-         flip a supporter set and change the diagnosis) must leave it
-         off and only get the bit-identical reuse. *)
-}
+   base whose LU factors answer later systems with the same matrix (only
+   the right-hand side moved: source, diode or junction-drop sweeps),
+   bit-identically; any other matrix gets an ordinary full solve.  The
+   sweep is an optimisation context only: it never changes which
+   systems are solved nor a single bit of their solutions. *)
+type sweep = { factors : (string, float array array * Lu.t) Hashtbl.t }
 
-let sweep ?(rank1 = false) () = { factors = Hashtbl.create 8; rank1 }
+let sweep () = { factors = Hashtbl.create 8 }
 
 let lu_resolves_total =
   Flames_obs.Metrics.counter "flames_mna_lu_resolves_total"
     ~help:"DC solves answered by re-solving cached LU factors (bit-identical)"
-
-let lu_rank1_total =
-  Flames_obs.Metrics.counter "flames_mna_lu_rank1_total"
-    ~help:"DC solves answered by rank-1 Sherman-Morrison refresh of cached factors"
 
 let state_key state =
   let b = Buffer.create 64 in
@@ -81,57 +66,6 @@ let matrices_equal a b =
          && Array.for_all2 (fun x y -> Float.equal x y) ra rb)
        a b
 
-(* Is [a' - a0] a rank-1 matrix u·vᵀ?  Perturbing one component
-   parameter touches at most a handful of entries (a conductance
-   touches four in a ± pattern, a gain or β one or two), so the
-   difference is tiny and the proportionality check is cheap.  More
-   than [max_touched] changed entries means this is not a
-   single-parameter refresh — give up rather than scan. *)
-let max_touched = 16
-
-let rank1_of_diff a0 a' =
-  let n = Array.length a0 in
-  let rows = ref [] and touched = ref 0 in
-  try
-    for i = n - 1 downto 0 do
-      let any = ref false in
-      for j = 0 to n - 1 do
-        if not (Float.equal a'.(i).(j) a0.(i).(j)) then begin
-          incr touched;
-          if !touched > max_touched then raise Exit;
-          any := true
-        end
-      done;
-      if !any then rows := i :: !rows
-    done;
-    match !rows with
-    | [] -> None
-    | r0 :: rest ->
-      let v = Array.init n (fun j -> a'.(r0).(j) -. a0.(r0).(j)) in
-      let j0 = ref 0 in
-      Array.iteri (fun j x -> if v.(!j0) = 0. && x <> 0. then j0 := j) v;
-      let j0 = !j0 in
-      let u = Array.make n 0. in
-      u.(r0) <- 1.;
-      let proportional i =
-        let ratio = (a'.(i).(j0) -. a0.(i).(j0)) /. v.(j0) in
-        u.(i) <- ratio;
-        Float.is_finite ratio
-        &&
-        let ok = ref true in
-        for j = 0 to n - 1 do
-          let d = a'.(i).(j) -. a0.(i).(j) in
-          let e = ratio *. v.(j) in
-          if
-            Float.abs (d -. e)
-            > 1e-9 *. Float.max (Float.abs d) (Float.abs e)
-          then ok := false
-        done;
-        !ok
-      in
-      if List.for_all proportional rest then Some (u, v) else None
-  with Exit -> None
-
 let initial_state netlist =
   let bjt, diode =
     List.fold_left
@@ -147,9 +81,8 @@ let initial_state netlist =
   { bjt; diode }
 
 (* Solve [a x = rhs], answering from sweep factors when possible.  The
-   no-sweep path is exactly [Linalg.solve]; the cached paths either
-   reproduce it bit for bit ([Lu.resolve]) or pass a residual check
-   before being accepted ([Lu.rank1_refresh]). *)
+   no-sweep path is exactly [Linalg.solve]; the cached path reproduces
+   it bit for bit ([Lu.resolve]). *)
 let solve_system ?sweep state a rhs =
   match sweep with
   | None -> Linalg.solve a rhs
@@ -168,19 +101,7 @@ let solve_system ?sweep state a rhs =
         Flames_obs.Metrics.incr lu_resolves_total;
         Lu.resolve f rhs
       end
-      else if (not sw.rank1) || Array.length a0 <> Array.length a then
-        Linalg.solve a rhs
-      else begin
-        match rank1_of_diff a0 a with
-        | Some (u, v) -> begin
-          match Lu.rank1_refresh f ~u ~v ~a':a rhs with
-          | Some x ->
-            Flames_obs.Metrics.incr lu_rank1_total;
-            x
-          | None -> Linalg.solve a rhs
-        end
-        | None -> Linalg.solve a rhs
-      end
+      else Linalg.solve a rhs
   end
 
 (* One linear solve for a fixed assignment of device regions. *)

@@ -28,18 +28,15 @@ exception No_convergence of string
 type sweep
 (** Factor-reuse context for solving many structurally identical
     circuits (a parameter sweep).  Caches LU factors of the first
-    matrix seen per device-region assignment; later solves under the
-    same assignment re-solve against those factors — bit-identically
-    when only the right-hand side changed, via a residual-checked
-    rank-1 Sherman–Morrison refresh when a single parameter moved the
-    matrix, and by an ordinary full solve otherwise.  Single-domain,
-    like the budget it typically accompanies. *)
+    matrix seen per device-region assignment; a later solve under the
+    same assignment with the same matrix (only the right-hand side
+    changed) re-solves against those factors, bit-identically; any
+    other matrix is solved in full.  Every answer is bit-identical to
+    an unshared solve.  Single-domain, like the budget it typically
+    accompanies. *)
 
-val sweep : ?rank1:bool -> unit -> sweep
-(** A fresh, empty sweep context.  [rank1] (default [false]) enables
-    the approximate Sherman–Morrison path; leave it off when downstream
-    consumers threshold or compare the solved voltages, so that every
-    answered system is bit-identical to an unshared solve. *)
+val sweep : unit -> sweep
+(** A fresh, empty sweep context. *)
 
 val solve : ?sweep:sweep -> Flames_circuit.Netlist.t -> solution
 (** [solve netlist] finds the DC operating point.  With [?sweep], LU

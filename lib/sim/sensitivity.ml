@@ -51,9 +51,10 @@ let extreme_solutions ?sweep netlist c param =
 
 let analyze netlist =
   (* One sweep for the whole analysis: the nominal system solved first
-     becomes the factor base every 1 % probe re-solves against (the
-     matrix perturbations are rank-1 per parameter); a fresh context
-     per call keeps the result a pure function of the netlist. *)
+     becomes the factor base that every 1 % probe leaving the matrix
+     unchanged (source and junction-drop parameters) re-solves against;
+     a fresh context per call keeps the result a pure function of the
+     netlist. *)
   let sweep = Mna.sweep () in
   let base = Mna.solve ~sweep netlist in
   let nodes =

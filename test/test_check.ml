@@ -261,12 +261,45 @@ let test_chaos_session () =
 let test_degraded_oracle () =
   expect_pass "degraded oracle" 60 Gen.scenario Oracle.check_degraded
 
-(* Satellite: the compiled-schedule differential oracle — >= 300 seeded
-   scenarios, each diagnosed through the compiled schedule and the
-   interpreter (full, schedule-reuse and budget-tripped variants) and
-   required to agree hex-fingerprint-exactly. *)
+(* The propagation-engine differential oracle: >= 300 seeded scenarios,
+   each diagnosed in production and replayed pass by pass on the
+   reference engine (full, schedule-reuse, wall-budget reuse, step and
+   env quotas, candidate quota), every cell and nogood hex-exact. *)
 let test_compiled_oracle () =
-  expect_pass "compiled vs interpreter" 300 Gen.scenario Oracle.check_compiled
+  expect_pass "engine vs reference" 300 Gen.scenario Oracle.check_compiled
+
+(* The five fig-7 defect diagnoses, pinned hex-exact: the MD5 of each
+   [Oracle.result_fingerprint] (every symptom verdict, conflict degree,
+   fit estimate and residual, and rank).  A run on a pre-compiled
+   schedule must print the same fingerprint, and every propagation pass
+   must match the reference engine ([Oracle.check_engine]). *)
+let fig7_md5 =
+  [
+    ("R2 short", "508df43940c9503c413765fe13d26417");
+    ("R2 slightly high", "92252301a49fdbb55562939877c4e3fa");
+    ("Beta2 slightly low", "a84b8373ea2b8242d51a8d326bbd4bde");
+    ("R3 open", "5e02cf087e96cccc88e51fb43eb2c5e6");
+    ("N1 open", "914fd7e043d41ad4631f4cb340160206");
+  ]
+
+let test_fig7_fingerprints () =
+  let jobs = Flames_experiments.Fig7.jobs () in
+  check_int "five defects" (List.length fig7_md5) (List.length jobs);
+  List.iter2
+    (fun (label, md5) (j : Flames_engine.Batch.job) ->
+      let module B = Flames_engine.Batch in
+      check_string "job label" label j.B.label;
+      let config = j.B.config and net = j.B.netlist and obs = j.B.observations in
+      let fp = Oracle.result_fingerprint (Diagnose.run ?config net obs) in
+      check_string (label ^ ": fingerprint md5") md5
+        (Digest.to_hex (Digest.string fp));
+      let schedule = Flames_core.Schedule.compile ?config net in
+      check_string (label ^ ": pre-compiled schedule") fp
+        (Oracle.result_fingerprint (Diagnose.run ~schedule net obs));
+      match Oracle.check_engine ?config net obs with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" label m)
+    fig7_md5 jobs
 
 let test_budget_charges () =
   let b = Budget.start (Budget.spec ~max_steps:3 ()) in
@@ -442,6 +475,7 @@ let () =
           Alcotest.test_case "chaos-session-100" `Slow test_chaos_session;
           Alcotest.test_case "degraded-oracle" `Slow test_degraded_oracle;
           Alcotest.test_case "compiled-oracle-300" `Slow test_compiled_oracle;
+          Alcotest.test_case "fig7-fingerprints" `Slow test_fig7_fingerprints;
           Alcotest.test_case "budget-charges" `Quick test_budget_charges;
           Alcotest.test_case "hitting-interrupt-floor" `Quick
             test_hitting_interrupt_floor;

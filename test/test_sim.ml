@@ -134,54 +134,49 @@ let test_lu_resolve_many_rhs () =
       | Error `Singular -> Alcotest.fail "unexpected singular")
     [ [| 1.; 2.; 3. |]; [| 0.; 0.; 1. |]; [| -5.; 7.; 0.25 |] ]
 
-let test_lu_rank1_refresh () =
-  let a = [| [| 4.; 1.; 0. |]; [| 1.; 5.; 2. |]; [| 0.; 2.; 6. |] |] in
-  let f =
-    match Lu.factor a with
-    | Ok f -> f
-    | Error `Singular -> Alcotest.fail "unexpected singular"
-  in
-  (* perturb one row: A' = A + u·vᵀ with u = e1, v = (0, 0.5, 0.25) *)
-  let u = [| 1.; 0.; 0. |] and v = [| 0.; 0.5; 0.25 |] in
-  let a' = Array.map Array.copy a in
-  a'.(0).(1) <- a'.(0).(1) +. 0.5;
-  a'.(0).(2) <- a'.(0).(2) +. 0.25;
-  let b = [| 1.; 2.; 3. |] in
-  (match Lu.rank1_refresh f ~u ~v ~a' b with
-  | None -> Alcotest.fail "well-conditioned rank-1 update declined"
-  | Some x ->
-    check_bool "residual verified" true (Linalg.residual_norm a' x b <= 1e-8));
-  (* degenerate denominator (1 + vᵀA⁻¹u = 0): must decline, not return
-     a wrong answer.  A = I, u = e1, v = -e1 makes A' singular. *)
-  let id = [| [| 1.; 0. |]; [| 0.; 1. |] |] in
-  let fid =
-    match Lu.factor id with Ok f -> f | Error `Singular -> assert false
-  in
-  let u = [| 1.; 0. |] and v = [| -1.; 0. |] in
-  let a' = [| [| 0.; 0. |]; [| 0.; 1. |] |] in
-  (match Lu.rank1_refresh fid ~u ~v ~a' [| 1.; 1. |] with
-  | None -> ()
-  | Some _ -> Alcotest.fail "singular rank-1 update accepted")
-
-(* the sweep context must be transparent: repeated solves of the same
-   circuit through one sweep return bit-identical solutions to the
-   sweep-free path (exact factor reuse, no rank-1 involved) *)
+(* The sweep context must be transparent: every solve through a shared
+   sweep returns bit-identical solutions to the sweep-free path.  First
+   the same circuit twice (the second solve hits the cached factors),
+   then a single-parameter fit sweep shaped like [Diagnose]'s: one
+   resistor and one transistor's beta of the amplifier, each over the
+   coarse multiplier grid of [Diagnose.fit_parameter], all through one
+   shared sweep as a diagnosis's suspects share one. *)
 let test_mna_sweep_transparent () =
   let net = L.three_stage_amplifier () in
-  let plain = Mna.solve net in
-  let sweep = Mna.sweep () in
-  let first = Mna.solve ~sweep net in
-  let again = Mna.solve ~sweep net (* the factor-reuse hit *) in
-  let same (a : Mna.solution) (b : Mna.solution) =
-    List.for_all2
-      (fun (n1, v1) (n2, v2) ->
-        String.equal n1 n2
-        && Int64.equal (Int64.bits_of_float v1) (Int64.bits_of_float v2))
-      a.Mna.voltages b.Mna.voltages
-    && a.Mna.regions = b.Mna.regions
+  let bits (a : Mna.solution) =
+    let col = List.map (fun (n, v) -> (n, Int64.bits_of_float v)) in
+    (col a.Mna.voltages, col a.Mna.currents, a.Mna.regions)
   in
-  check_bool "sweep first solve bit-identical" true (same plain first);
-  check_bool "sweep reuse bit-identical" true (same plain again)
+  let outcome ?sweep net =
+    match Mna.solve ?sweep net with
+    | sol -> Ok (bits sol)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let same label a b = check_bool label true (a = b) in
+  let plain = outcome net in
+  let sweep = Mna.sweep () in
+  same "sweep first solve bit-identical" plain (outcome ~sweep net);
+  same "sweep reuse bit-identical" plain (outcome ~sweep net);
+  let coarse =
+    [ 1e-6; 1e-3; 0.01; 0.05; 0.1; 0.2; 0.3; 0.5; 0.7; 0.85; 0.95; 1.;
+      1.05; 1.15; 1.3; 1.5; 2.; 3.; 5.; 10.; 100.; 1e3; 1e6; 1e9 ]
+  in
+  let fit = Mna.sweep () in
+  List.iter
+    (fun (name, parameter) ->
+      let comp = N.find net name in
+      let nominal = I.centroid (C.nominal_parameter comp parameter) in
+      List.iter
+        (fun m ->
+          let net' =
+            N.replace net
+              (C.with_parameter comp parameter (I.crisp (nominal *. m)))
+          in
+          same
+            (Printf.sprintf "%s.%s x%g bit-identical" name parameter m)
+            (outcome net') (outcome ~sweep:fit net'))
+        coarse)
+    [ ("r2", "R"); ("t2", "beta") ]
 
 (* {1 MNA basics} *)
 
@@ -376,7 +371,6 @@ let () =
             test_lu_resolve_bit_identity;
           Alcotest.test_case "many right-hand sides" `Quick
             test_lu_resolve_many_rhs;
-          Alcotest.test_case "rank-1 refresh" `Quick test_lu_rank1_refresh;
           Alcotest.test_case "sweep transparent" `Quick
             test_mna_sweep_transparent;
         ] );
