@@ -412,8 +412,8 @@ let file_arg =
 
 let stats_json_arg =
   let doc =
-    "Also write the run statistics to $(docv) as JSON (same schema as the \
-     bench harness's BENCH_*.json rows)."
+    "Also write the run statistics to $(docv) as one JSON object (jobs, \
+     outcomes, cache hits and misses, wall and CPU seconds)."
   in
   Arg.(
     value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)

@@ -20,7 +20,7 @@ val minimal_hitting_sets :
       cardinality order via {!expansion_order}, so small conflicts force
       choices early and the completed-set subsumption prune discards more
       of the frontier.  The result is the same either way; the flag
-      exists for benchmarks and the prune regression test.
+      exists for the prune regression test.
     - [interrupt] is a cooperative budget check-point, polled once per
       frontier pop: when it answers [true] the enumeration stops and the
       sets completed so far are returned.  It is only honoured once at

@@ -47,33 +47,26 @@ let now () = Unix.gettimeofday ()
 
 (* One request context per job: the job's spans, stage timings and
    cache hit/miss attach to a per-job trace id, and settling emits one
-   wide event per job.  Skipped entirely when events are disabled (the
-   obs-overhead benchmark's baseline). *)
-let job_context _j =
-  if Events.enabled () then
-    Some (Context.make ~trace_id:(Ids.trace_id ()) ~route:"batch" ())
-  else None
+   wide event per job. *)
+let job_context () = Context.make ~trace_id:(Ids.trace_id ()) ~route:"batch" ()
 
 let emit_job_event ctx j ~attempts outcome =
-  match ctx with
-  | None -> ()
-  | Some ctx ->
-    let status, extra =
-      match (outcome : outcome) with
-      | Ok r ->
-        ( "ok",
-          [
-            ("degraded", Events.Bool r.Diagnose.degraded);
-            ("conflicts", Events.Int (List.length r.Diagnose.conflicts));
-          ] )
-      | Error (Err.Breaker_open _) -> ("shed", [])
-      | Error e -> ("error", [ ("error", Events.Str (Err.to_string e)) ])
-    in
-    Events.emit ~ctx ~name:"batch.job"
-      (("label", Events.Str j.label)
-      :: ("status", Events.Str status)
-      :: ("attempts", Events.Int attempts)
-      :: extra)
+  let status, extra =
+    match (outcome : outcome) with
+    | Ok r ->
+      ( "ok",
+        [
+          ("degraded", Events.Bool r.Diagnose.degraded);
+          ("conflicts", Events.Int (List.length r.Diagnose.conflicts));
+        ] )
+    | Error (Err.Breaker_open _) -> ("shed", [])
+    | Error e -> ("error", [ ("error", Events.Str (Err.to_string e)) ])
+  in
+  Events.emit ~ctx ~name:"batch.job"
+    (("label", Events.Str j.label)
+    :: ("status", Events.Str status)
+    :: ("attempts", Events.Int attempts)
+    :: extra)
 
 let err_of_pool = function
   | Pool.Cancelled -> Err.Cancelled
@@ -174,7 +167,7 @@ let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker jobs =
        job context is installed around the submission so the pool
        captures it and restores it inside the worker domain. *)
     let budget = Option.map Budget.start budget in
-    Context.with_context_opt ctx (fun () ->
+    Context.with_context ctx (fun () ->
         Pool.submit pool ~label:j.label ?timeout ?budget (fun () ->
             run_one cache ?budget ~attempt j))
   in
@@ -186,7 +179,7 @@ let run_in ~pool ?cache ?timeout ?budget ?retry:policy ?breaker jobs =
   let pendings =
     List.map
       (fun j ->
-        let ctx = job_context j in
+        let ctx = job_context () in
         match gate j with
         | `Allow -> (ctx, Flight (submit j ~ctx ~attempt:1))
         | `Shed ->
@@ -258,8 +251,8 @@ let sequential ?cache jobs =
   let results =
     List.map
       (fun j ->
-        let ctx = job_context j in
-        let r = Context.with_context_opt ctx (fun () -> run_one cache j) in
+        let ctx = job_context () in
+        let r = Context.with_context ctx (fun () -> run_one cache j) in
         emit_job_event ctx j ~attempts:1 (Ok r);
         r)
       jobs

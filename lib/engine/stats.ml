@@ -37,11 +37,8 @@ let throughput t =
   if t.wall_time > 0. then float_of_int (t.succeeded + t.failed) /. t.wall_time
   else 0.
 
-(* Shared JSON schema: the bench harness (BENCH_*.json) and the CLI's
-   --stats-json both emit these fields, so downstream tooling parses one
-   shape.  [to_json_fields] is braceless so callers can prepend their own
-   context fields (e.g. the bench's "cache" tag) inside one object. *)
-let to_json_fields ppf t =
+(* The CLI's --stats-json schema, one flat object. *)
+let json_fields ppf t =
   Format.fprintf ppf
     "\"jobs\": %d, \"succeeded\": %d, \"failed\": %d, \"workers\": %d, \
      \"conflicts\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
@@ -52,7 +49,7 @@ let to_json_fields ppf t =
     t.cache_misses t.retried t.shed t.degraded t.wall_time t.cpu_time
     (throughput t) t.compile_wall t.diagnose_wall
 
-let to_json t = Format.asprintf "{ %a }" to_json_fields t
+let to_json t = Format.asprintf "{ %a }" json_fields t
 
 let pp ppf t =
   Format.fprintf ppf

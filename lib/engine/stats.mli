@@ -27,10 +27,6 @@ val throughput : t -> float
 
 val pp : Format.formatter -> t -> unit
 
-val to_json_fields : Format.formatter -> t -> unit
-(** The stats as a braceless JSON field list ([ "jobs": 5, ... ]) so a
-    caller can splice extra context fields into the same object — the
-    bench harness's BENCH_*.json rows use exactly this schema. *)
-
 val to_json : t -> string
-(** [to_json t] is the fields wrapped in an object: [{ "jobs": 5, ... }]. *)
+(** [to_json t] is the stats as one JSON object: [{ "jobs": 5, ... }] —
+    the schema of the CLI's [batch --stats-json]. *)

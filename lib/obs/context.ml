@@ -10,7 +10,7 @@
 
    The fast path matters: [current ()] is called from recorded trace
    spans (e.g. every Mna.solve).  When no context is installed anywhere
-   in the process — plain CLI runs, benchmarks with events disabled —
+   in the process — plain CLI runs outside any request, job or script —
    it is a single atomic load. *)
 
 type value = Str of string | Num of float | Int of int | Bool of bool

@@ -29,9 +29,6 @@ type t = {
   fields : (string * value) list;
 }
 
-let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 let next_seq = ref 0 (* guarded by [ring_mutex] *)
 
 (* --- ring --- *)
@@ -149,45 +146,43 @@ let file_sink path =
 (* --- emission --- *)
 
 let emit ?ctx ~name fields =
-  if enabled () then begin
-    let ctx = match ctx with Some _ as c -> c | None -> Context.current () in
-    let identity, accumulated =
-      match ctx with
-      | None -> ((None, None, None, None), [])
-      | Some c ->
-        let timing_fields =
-          Context.timings c
-          |> List.map (fun (stage, dt) -> ("t_" ^ stage, Num dt))
-        in
-        ( ( Some (Context.trace_id c),
-            Context.session_id c,
-            Context.client c,
-            Context.route c ),
-          Context.fields c @ timing_fields )
-    in
-    let trace_id, session_id, client, route = identity in
-    let fields = fields @ accumulated in
-    Mutex.lock ring_mutex;
-    let e =
-      {
-        seq = !next_seq;
-        ts = Unix.gettimeofday ();
-        name;
-        trace_id;
-        session_id;
-        client;
-        route;
-        fields;
-      }
-    in
-    incr next_seq;
-    let cap = Array.length ring.slots in
-    ring.slots.(ring.next) <- Some e;
-    ring.next <- (ring.next + 1) mod cap;
-    ring.stored <- Int.min cap (ring.stored + 1);
-    Mutex.unlock ring_mutex;
-    Mutex.lock sink_mutex;
-    let s = !sink in
-    (match s with Some write -> write (to_json e) | None -> ());
-    Mutex.unlock sink_mutex
-  end
+  let ctx = match ctx with Some _ as c -> c | None -> Context.current () in
+  let identity, accumulated =
+    match ctx with
+    | None -> ((None, None, None, None), [])
+    | Some c ->
+      let timing_fields =
+        Context.timings c
+        |> List.map (fun (stage, dt) -> ("t_" ^ stage, Num dt))
+      in
+      ( ( Some (Context.trace_id c),
+          Context.session_id c,
+          Context.client c,
+          Context.route c ),
+        Context.fields c @ timing_fields )
+  in
+  let trace_id, session_id, client, route = identity in
+  let fields = fields @ accumulated in
+  Mutex.lock ring_mutex;
+  let e =
+    {
+      seq = !next_seq;
+      ts = Unix.gettimeofday ();
+      name;
+      trace_id;
+      session_id;
+      client;
+      route;
+      fields;
+    }
+  in
+  incr next_seq;
+  let cap = Array.length ring.slots in
+  ring.slots.(ring.next) <- Some e;
+  ring.next <- (ring.next + 1) mod cap;
+  ring.stored <- Int.min cap (ring.stored + 1);
+  Mutex.unlock ring_mutex;
+  Mutex.lock sink_mutex;
+  let s = !sink in
+  (match s with Some write -> write (to_json e) | None -> ());
+  Mutex.unlock sink_mutex

@@ -5,9 +5,8 @@
     Always recorded into a bounded in-memory ring (the flight
     recorder's event source; see {!Recorder}); optionally mirrored as
     JSON lines to a sink ([--wide-events FILE] on the CLI).  Emission
-    takes the ring mutex — a per-request cost.  [set_enabled false]
-    turns the whole path off (one atomic load per call site), which is
-    what the obs-overhead benchmark's baseline uses. *)
+    takes the ring mutex — a per-request cost, paid on every request
+    and so inside every end-to-end latency the benchmark reports. *)
 
 type value = Context.value =
   | Str of string
@@ -26,14 +25,10 @@ type t = {
   fields : (string * value) list;
 }
 
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-
 val emit : ?ctx:Context.t -> name:string -> (string * value) list -> unit
 (** Build and record an event.  Identity and accumulated
     fields/timings come from [?ctx] (default: {!Context.current});
-    stage timings appear as [t_<stage>] fields in seconds.  No-op when
-    disabled. *)
+    stage timings appear as [t_<stage>] fields in seconds. *)
 
 val recent : unit -> t list
 (** Ring contents, oldest first. *)

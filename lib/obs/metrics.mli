@@ -70,8 +70,8 @@ val histogram_quantile : histogram -> float -> float
     q-th observation, Prometheus [histogram_quantile]-style.  The first
     bucket interpolates from 0; observations in the overflow bucket
     answer the last finite bound.  [0.] on an empty histogram.  An
-    estimate — exact quantiles need the raw samples (the load generator
-    keeps those; the server-side latency read-out uses this). *)
+    estimate — exact quantiles need the raw samples (the perfbench
+    client keeps those; the server-side latency read-out uses this). *)
 
 (** {1 Registry snapshot} *)
 

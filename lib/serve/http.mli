@@ -1,10 +1,10 @@
 (** Minimal HTTP/1.1 over raw [Unix] file descriptors.
 
-    Just enough protocol for the diagnosis service and its load
-    generator: request/response parsing with hard size limits,
-    [Content-Length] bodies (no chunked encoding, no TLS), keep-alive.
-    Both directions are implemented here so {!Server} and {!Loadgen}
-    exercise the same parser. *)
+    Just enough protocol for the diagnosis service and its clients:
+    request/response parsing with hard size limits, [Content-Length]
+    bodies (no chunked encoding, no TLS), keep-alive.  Both directions
+    are implemented here so {!Server}, the tests and the benchmark's
+    client exercise the same parser. *)
 
 type request = {
   meth : string;  (** verb, as sent (["GET"], ["POST"], ...) *)
@@ -74,5 +74,4 @@ val write_request :
   string ->
   unit
 (** Client side: send [meth path HTTP/1.1] with a [Content-Length] body.
-    @raise Unix.Unix_error on write failure (the load generator counts
-    these as protocol errors). *)
+    @raise Unix.Unix_error on write failure. *)

@@ -1,8 +1,9 @@
 (** A tiny self-contained JSON parser and printer.
 
     One implementation shared by the HTTP request/response bodies of
-    {!Server}, the [BENCH_serve.json] emitter in {!Loadgen} and the
-    exporter tests (which previously carried their own in-test parser).
+    {!Server}, the CLI's JSON output, the benchmark's request bodies and
+    the exporter tests (which previously carried their own in-test
+    parser).
     The repo deliberately has no JSON dependency; this module is the
     whole story: UTF-8 pass-through strings, floats for every number,
     objects as association lists in source order. *)

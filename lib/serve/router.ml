@@ -743,15 +743,13 @@ let handle deps (r : Http.request) =
       let reply = dispatch deps r in
       let dt = Unix.gettimeofday () -. t0 in
       Digest.observe_in Telemetry.route_seconds route dt;
-      if Events.enabled () then begin
-        Metrics.incr Telemetry.events_total;
-        Events.emit ~ctx ~name:"http.request"
-          [
-            ("method", Events.Str r.Http.meth);
-            ("path", Events.Str r.Http.path);
-            ("status", Events.Int reply.status);
-            ("elapsed_ms", Events.Num (dt *. 1e3));
-            ("bytes_out", Events.Int (String.length reply.body));
-          ]
-      end;
+      Metrics.incr Telemetry.events_total;
+      Events.emit ~ctx ~name:"http.request"
+        [
+          ("method", Events.Str r.Http.meth);
+          ("path", Events.Str r.Http.path);
+          ("status", Events.Int reply.status);
+          ("elapsed_ms", Events.Num (dt *. 1e3));
+          ("bytes_out", Events.Int (String.length reply.body));
+        ];
       { reply with headers = (trace_header, trace_id) :: reply.headers })

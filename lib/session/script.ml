@@ -348,38 +348,34 @@ let run ?(echo = false) ?(print = print_endline)
      child context (same trace, same session id once a circuit opened
      one), so its wide event carries per-step — not cumulative — stage
      timings. *)
-  let trace_id = if Events.enabled () then Some (Ids.trace_id ()) else None in
+  let trace_id = Ids.trace_id () in
   let session_id = ref None in
   let session_count = ref 0 in
   let step_count = ref 0 in
   let exec_step cmd =
-    match trace_id with
-    | None -> exec ~print ~session_of st cmd
-    | Some trace_id ->
-      let ctx =
-        Context.make ?session_id:!session_id ~route:"troubleshoot" ~trace_id ()
-      in
-      Context.with_context ctx (fun () ->
-          incr step_count;
-          let t0 = Unix.gettimeofday () in
-          let result = exec ~print ~session_of st cmd in
-          (match (cmd, result) with
-          | Circuit _, Ok () ->
-            incr session_count;
-            session_id := Some (Printf.sprintf "cli-s%d" !session_count);
-            Context.set_session (Option.get !session_id)
-          | _ -> ());
-          Events.emit ~ctx ~name:"session.step"
-            [
-              ("step", Events.Int !step_count);
-              ("cmd", Events.Str (render cmd));
-              ( "status",
-                Events.Str
-                  (match result with Ok () -> "ok" | Error _ -> "error") );
-              ( "elapsed_ms",
-                Events.Num ((Unix.gettimeofday () -. t0) *. 1e3) );
-            ];
-          result)
+    let ctx =
+      Context.make ?session_id:!session_id ~route:"troubleshoot" ~trace_id ()
+    in
+    Context.with_context ctx (fun () ->
+        incr step_count;
+        let t0 = Unix.gettimeofday () in
+        let result = exec ~print ~session_of st cmd in
+        (match (cmd, result) with
+        | Circuit _, Ok () ->
+          incr session_count;
+          session_id := Some (Printf.sprintf "cli-s%d" !session_count);
+          Context.set_session (Option.get !session_id)
+        | _ -> ());
+        Events.emit ~ctx ~name:"session.step"
+          [
+            ("step", Events.Int !step_count);
+            ("cmd", Events.Str (render cmd));
+            ( "status",
+              Events.Str (match result with Ok () -> "ok" | Error _ -> "error")
+            );
+            ("elapsed_ms", Events.Num ((Unix.gettimeofday () -. t0) *. 1e3));
+          ];
+        result)
   in
   let rec go = function
     | [] -> Ok st.session

@@ -18,8 +18,7 @@
     v}
 
     The same interpreter backs [flames_cli troubleshoot] (stdin or
-    script file), the [corpus/sessions] golden transcripts, and the
-    session benchmark. *)
+    script file) and the [corpus/sessions] golden transcripts. *)
 
 type command =
   | Circuit of string

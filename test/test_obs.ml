@@ -487,12 +487,7 @@ let test_event_ring () =
         (List.map (fun e -> e.Events.name) recents);
       let seqs = List.map (fun e -> e.Events.seq) recents in
       Alcotest.(check bool) "seq ascending" true
-        (seqs = List.sort compare seqs);
-      Events.set_enabled false;
-      Events.emit ~name:"dropped" [];
-      Events.set_enabled true;
-      Alcotest.(check int) "disabled drops" 4
-        (List.length (Events.recent ())))
+        (seqs = List.sort compare seqs))
 
 (* Four domains interleave emissions: every event keeps its own fields
    (no tearing), the seq counter gives a total order, and nothing is

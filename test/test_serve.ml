@@ -9,6 +9,7 @@ module Admission = Flames_serve.Admission
 module Server = Flames_serve.Server
 module Router = Flames_serve.Router
 module Version = Flames_serve.Version
+module Events = Flames_obs.Events
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -139,6 +140,90 @@ let test_http_response_roundtrip () =
         check_string "body" {|{"error":"shed"}|} resp.Http.resp_body
       | Error _ -> Alcotest.fail "response must parse")
 
+(* Seeded byte mutations of valid messages, each decoded from a temp
+   file (a read at its end returns 0, so a decoder waiting for more bytes
+   sees end of stream instead of blocking): every message pulled off the
+   mutated bytes is [Ok] or a typed [Http.error], never an exception, and
+   the read loop ends. *)
+let valid_requests =
+  [
+    "POST /diagnose?x=1 HTTP/1.1\r\nHost: t\r\nContent-Type: \
+     application/json\r\nContent-Length: 23\r\n\r\n{\"circuit\": \"divider\"}";
+    "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\nGET /metrics \
+     HTTP/1.1\r\n\r\n";
+    "POST /session/s1/measure HTTP/1.1\r\nX-Flames-Trace-Id: abc\r\n\
+     Content-Length: 12\r\n\r\n{\"node\":\"m\"}";
+  ]
+
+let valid_responses =
+  [
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: \
+     11\r\n\r\n{\"ok\":true}";
+    "HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: \
+     0\r\n\r\nHTTP/1.0 404 Not Found\r\n\r\n";
+  ]
+
+let mutate rng s =
+  let n = String.length s in
+  let at () = Random.State.int rng (Int.max 1 n) in
+  let byte () = Char.chr (Random.State.int rng 256) in
+  match Random.State.int rng 4 with
+  | 0 when n > 0 ->
+    let b = Bytes.of_string s and i = at () in
+    Bytes.set b i
+      (Char.chr (Char.code s.[i] lxor (1 + Random.State.int rng 255)));
+    Bytes.to_string b
+  | 1 ->
+    let i = Random.State.int rng (n + 1) in
+    String.sub s 0 i ^ String.make 1 (byte ()) ^ String.sub s i (n - i)
+  | 2 when n > 0 ->
+    let i = at () in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | _ -> String.sub s 0 (Random.State.int rng (n + 1))
+
+let decode_file ~read bytes =
+  let path = Filename.temp_file "flames_http" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let c = Http.conn fd in
+  (* each [Ok] consumes at least one byte, so [k] bounds the loop *)
+  let rec loop k =
+    if k > String.length bytes then Some "no progress"
+    else
+      match read c with
+      | Ok () -> loop (k + 1)
+      | Error (_ : Http.error) -> None
+      | exception e -> Some (Printexc.to_string e)
+  in
+  loop 0
+
+let test_http_mutations () =
+  let rng = Random.State.make [| 0x5eed |] in
+  let ignore_ok r = Result.map ignore r in
+  let readers =
+    [
+      ("request", valid_requests, fun ~max_body c ->
+          ignore_ok (Http.read_request ~max_body c));
+      ("response", valid_responses, fun ~max_body c ->
+          ignore_ok (Http.read_response ~max_body c));
+    ]
+  in
+  for case = 1 to 500 do
+    let kind, valid, read = List.nth readers (case mod 2) in
+    let base = List.nth valid (Random.State.int rng (List.length valid)) in
+    let bytes = ref base in
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      bytes := mutate rng !bytes
+    done;
+    (* a small limit on some cases drives the Too_large paths *)
+    let max_body = if case mod 5 = 0 then 8 else 1 lsl 20 in
+    match decode_file ~read:(read ~max_body) !bytes with
+    | None -> ()
+    | Some fault -> Alcotest.failf "%s case %d: %s on %S" kind case fault !bytes
+  done
+
 (* {1 Admission} *)
 
 let test_admission_saturation () =
@@ -236,7 +321,59 @@ let test_e2e_probes () =
       check_bool "Allow header" true
         (Http.header wrong.Http.resp_headers "allow" = Some "GET"))
 
+(* The wide-event lines a sink receives while [f] runs, parsed.  Sink
+   calls run under the events' sink mutex, which [set_sink None] takes
+   too, so every line is in [lines] once it returns. *)
+let with_event_lines f =
+  let lines = ref [] in
+  Events.set_sink (Some (fun l -> lines := l :: !lines));
+  Fun.protect ~finally:(fun () -> Events.set_sink None) f;
+  List.rev_map Json.parse !lines
+
+(* Every request leaves one [http.request] wide event: identity, route,
+   status and latency always; a successful /diagnose also carries its
+   per-stage [t_<stage>] timings.  Seqs ascend in sink order. *)
+let check_request_events events =
+  let seqs =
+    List.filter_map (fun e -> Option.bind (Json.mem "seq" e) Json.num_opt) events
+  in
+  check_int "every event has a seq" (List.length events) (List.length seqs);
+  check_bool "seqs ascending" true (seqs = List.sort_uniq compare seqs);
+  let requests =
+    List.filter
+      (fun e -> Json.mem "event" e = Some (Json.Str "http.request"))
+      events
+  in
+  check_bool "http.request events recorded" true (requests <> []);
+  List.iter
+    (fun e ->
+      List.iter
+        (fun key ->
+          check_bool (Printf.sprintf "event has %S" key) true
+            (Json.mem key e <> None))
+        [ "ts"; "trace"; "route"; "status"; "elapsed_ms" ])
+    requests;
+  let diagnosed =
+    List.filter
+      (fun e ->
+        Json.mem "route" e = Some (Json.Str "/diagnose")
+        && Json.mem "status" e = Some (Json.Num 200.))
+      requests
+  in
+  check_bool "200 /diagnose events recorded" true (diagnosed <> []);
+  List.iter
+    (fun e ->
+      let timed =
+        match e with
+        | Json.Obj fields ->
+          List.exists (fun (k, _) -> String.starts_with ~prefix:"t_" k) fields
+        | _ -> false
+      in
+      check_bool "200 /diagnose event carries t_<stage> timings" true timed)
+    diagnosed
+
 let test_e2e_diagnose () =
+  check_request_events @@ with_event_lines @@ fun () ->
   with_server ~config:ephemeral (fun server ->
       let port = Server.port server in
       let resp =
@@ -859,7 +996,6 @@ let test_e2e_journal_restart () =
 
 (* {1 Request-scoped observability over loopback} *)
 
-module Events = Flames_obs.Events
 module Recorder = Flames_obs.Recorder
 
 (* Probe both `dune runtest` and `dune exec` working directories, like
@@ -1048,6 +1184,7 @@ let () =
           Alcotest.test_case "body size limit" `Quick test_http_too_large;
           Alcotest.test_case "response roundtrip" `Quick
             test_http_response_roundtrip;
+          Alcotest.test_case "byte mutations" `Quick test_http_mutations;
         ] );
       ( "admission",
         [
